@@ -1,4 +1,4 @@
-//! # rcb-bench — experiment regeneration and benchmarks
+//! # rcb-bench — experiment regeneration
 //!
 //! The paper has no empirical tables or figures — its "evaluation" is its
 //! theorems. This crate regenerates **every theorem and load-bearing lemma
@@ -11,9 +11,7 @@
 //! cargo run --release -p rcb-bench --bin repro -- --list
 //! ```
 //!
-//! Criterion benches (`crates/bench/benches/`) additionally measure the
-//! simulator's wall-clock performance on a scaled-down kernel of each
-//! experiment, plus engine/sampler microbenchmarks.
+//! Engine throughput is measured by `rcb bench` (see `rcb-campaign`).
 
 pub mod experiments;
 pub mod scale;

@@ -36,7 +36,7 @@
 //! over verbatim: a resumed cell restores its accumulator bit-exactly from
 //! the checkpoint and re-runs only replicates `watermark..trials`, whose
 //! seeds are the same as in an uninterrupted run — so the final artifact is
-//! byte-identical at any kill point, thread count, and batch width
+//! byte-identical at any kill point and thread count
 //! (`tests/resume_equivalence.rs` pins this).
 
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CellCheckpoint, ServiceError};
@@ -46,10 +46,7 @@ use crate::report::{
 use crate::scenario::{CampaignSpec, CellSpec};
 use crate::store::{checkpoint_key, Store};
 use crate::tracefile::{TraceWriter, TrialTraceObserver};
-use rcb_harness::{
-    batch_supported, cell_trial_seed, run_trial_batch, run_trial_telemetry, TrialOptions,
-    TrialResult, TrialSpec,
-};
+use rcb_harness::{cell_trial_seed, run_trial_telemetry, TrialOptions, TrialResult, TrialSpec};
 use rcb_sim::{EngineConfig, EngineTelemetry, ScheduleMarker};
 use rcb_stats::{QuantileSketch, StreamingMoments};
 use std::collections::BinaryHeap;
@@ -79,16 +76,6 @@ pub struct CampaignConfig {
     /// across hosts and repeats; the deterministic perf *counters* are
     /// always collected regardless of this flag.
     pub telemetry: bool,
-    /// Trials per lockstep batch (clamped to 1..=64). At 1 — the default —
-    /// every trial runs the scalar engine, exactly as before. Above 1,
-    /// workers claim blocks of up to this many same-cell trials and run
-    /// them through the trial-batched lane ([`rcb_sim::BatchSimulation`])
-    /// where the cell's spec supports it (single-hop, unscheduled,
-    /// single-message), falling back to scalar trials otherwise. Lanes
-    /// replicate per-trial scalar semantics (`tests/batch_equivalence.rs`
-    /// pins the artifact against the scalar engine's), so this is a
-    /// throughput knob, not a statistics knob.
-    pub batch_width: u64,
 }
 
 impl Default for CampaignConfig {
@@ -100,7 +87,6 @@ impl Default for CampaignConfig {
             max_slots: None,
             progress: false,
             telemetry: false,
-            batch_width: 1,
         }
     }
 }
@@ -446,31 +432,18 @@ impl Progress {
     }
 }
 
-/// The `(start, end)` global-trial blocks still to simulate: up to
-/// `batch_width` remaining same-cell trials per block (size 1 at the
-/// default width — the scalar scheduling). Blocks never cross a cell
-/// boundary, so a block maps to one batched engine call; a resumed
-/// cell's first block starts at its watermark.
-pub(crate) fn trial_blocks(
-    spec: &CampaignSpec,
-    cfg: &CampaignConfig,
-    watermarks: &[u64],
-) -> Vec<(u64, u64)> {
+/// The global trial indices still to simulate, ascending: replicates
+/// `watermarks[c]..trials_per_cell` of every cell `c`, so a resumed cell
+/// starts at its watermark.
+pub(crate) fn trial_queue(cfg: &CampaignConfig, watermarks: &[u64]) -> Vec<u64> {
     let n = cfg.trials_per_cell;
-    let width = cfg.batch_width.clamp(1, 64);
-    spec.cells
-        .iter()
-        .enumerate()
-        .flat_map(|(c, _)| {
-            let base = c as u64 * n;
-            (watermarks[c]..n)
-                .step_by(width as usize)
-                .map(move |t| (base + t, base + (t + width).min(n)))
-        })
+    (0u64..)
+        .zip(watermarks)
+        .flat_map(|(c, &w)| c * n + w..(c + 1) * n)
         .collect()
 }
 
-/// What the per-ingest callback of [`run_trial_blocks`] tells the
+/// What the per-ingest callback of [`run_trial_queue`] tells the
 /// aggregator to do next.
 pub(crate) enum IngestControl {
     /// Keep ingesting.
@@ -481,22 +454,22 @@ pub(crate) enum IngestControl {
     Stop,
 }
 
-/// Per-ingest callback of [`run_trial_blocks`]:
+/// Per-ingest callback of [`run_trial_queue`]:
 /// `(cell, watermark, acc, simulated)` after every ingested trial.
 pub(crate) type OnIngest<'a> =
     dyn FnMut(usize, u64, &CellAccumulator, u64) -> Result<IngestControl, ServiceError> + 'a;
 
-/// Outcome of [`run_trial_blocks`].
-pub(crate) struct BlocksOutcome {
+/// Outcome of [`run_trial_queue`].
+pub(crate) struct QueueOutcome {
     /// Trials simulated *and ingested* by this call.
     pub(crate) simulated: u64,
-    /// Whether the callback stopped the run before the block list drained.
+    /// Whether the callback stopped the run before the queue drained.
     pub(crate) stopped: bool,
 }
 
 /// The campaign engine's inner loop, shared by [`run_campaign_service`]
-/// and the shard worker ([`crate::shard`]): simulate every `(start, end)`
-/// global-trial block across worker threads and ingest the metrics into
+/// and the shard worker ([`crate::shard`]): simulate every queued global
+/// trial index across worker threads and ingest the metrics into
 /// `accs`/`watermarks` **strictly in ascending global-index order** (the
 /// positional-aggregation determinism mechanism — see the module docs).
 ///
@@ -506,21 +479,19 @@ pub(crate) struct BlocksOutcome {
 /// returning [`IngestControl::Stop`] or an error unwinds the worker
 /// threads promptly (their sends fail once the receiver drops).
 ///
-/// Blocks must not cross cell boundaries and must be listed in ascending
-/// start order; `watermarks[c]` is set to `replicate + 1` as each trial of
-/// cell `c` lands.
-pub(crate) fn run_trial_blocks(
+/// `queue` must be ascending (it is the exact ingest order);
+/// `watermarks[c]` is set to `replicate + 1` as each trial of cell `c`
+/// lands.
+pub(crate) fn run_trial_queue(
     spec: &CampaignSpec,
     cfg: &CampaignConfig,
-    blocks: &[(u64, u64)],
+    queue: &[u64],
     accs: &mut [CellAccumulator],
     watermarks: &mut [u64],
     on_ingest: &mut OnIngest<'_>,
-) -> Result<BlocksOutcome, ServiceError> {
+) -> Result<QueueOutcome, ServiceError> {
     let n = cfg.trials_per_cell;
-    // The exact ingest order: ascending global index over scheduled work.
-    let order: Vec<u64> = blocks.iter().flat_map(|&(s, e)| s..e).collect();
-    let scheduled = order.len() as u64;
+    let scheduled = queue.len() as u64;
 
     let threads = rcb_harness::resolve_threads(cfg.threads)
         .min(scheduled.max(1) as usize)
@@ -540,37 +511,13 @@ pub(crate) fn run_trial_blocks(
             let tx = tx.clone();
             let next = &next;
             scope.spawn(move || loop {
-                let bi = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if bi >= blocks.len() {
+                let qi = next.fetch_add(1, Ordering::Relaxed) as usize;
+                let Some(&g) = queue.get(qi) else {
                     break;
-                }
-                let (start, end) = blocks[bi];
-                let ts = trial_spec(spec, cfg, start);
-                if end - start > 1 && batch_supported(&ts) {
-                    let seeds: Vec<u64> = (start..end)
-                        .map(|g| cell_trial_seed(cfg.seed, g / n, g % n))
-                        .collect();
-                    let engine = EngineConfig {
-                        time_phases: cfg.telemetry,
-                        ..EngineConfig::default()
-                    };
-                    for (i, (r, tel)) in
-                        run_trial_batch(&ts, &seeds, engine).into_iter().enumerate()
-                    {
-                        let metrics = TrialMetrics::new(&r, tel);
-                        if tx.send(Pending(start + i as u64, metrics)).is_err() {
-                            return; // aggregator gone; shutting down
-                        }
-                    }
-                } else {
-                    for g in start..end {
-                        let ts = trial_spec(spec, cfg, g);
-                        let (r, tel) = run_trial_telemetry(&ts, trial_options(cfg));
-                        let metrics = TrialMetrics::new(&r, tel);
-                        if tx.send(Pending(g, metrics)).is_err() {
-                            return; // aggregator gone; shutting down
-                        }
-                    }
+                };
+                let (r, tel) = run_trial_telemetry(&trial_spec(spec, cfg, g), trial_options(cfg));
+                if tx.send(Pending(g, TrialMetrics::new(&r, tel))).is_err() {
+                    return; // aggregator gone; shutting down
                 }
             });
         }
@@ -582,7 +529,7 @@ pub(crate) fn run_trial_blocks(
         let mut progress = Progress::new(cfg.progress, scheduled.max(1));
         'ingest: for pending in rx.iter() {
             heap.push(pending);
-            while pos < order.len() && heap.peek().is_some_and(|p| p.0 == order[pos]) {
+            while pos < queue.len() && heap.peek().is_some_and(|p| p.0 == queue[pos]) {
                 let Pending(g, m) = heap.pop().expect("peeked");
                 let c = (g / n) as usize;
                 accs[c].push(&m);
@@ -607,14 +554,14 @@ pub(crate) fn run_trial_blocks(
         // the scope joins promptly on the stop/error paths.
         drop(rx);
         if !stopped && cb_error.is_none() {
-            assert_eq!(pos, order.len(), "aggregator lost trials");
+            assert_eq!(pos, queue.len(), "aggregator lost trials");
         }
     });
 
     if let Some(e) = cb_error {
         return Err(e);
     }
-    Ok(BlocksOutcome { simulated, stopped })
+    Ok(QueueOutcome { simulated, stopped })
 }
 
 /// Assemble the final artifact from the filled per-cell accumulators.
@@ -824,12 +771,7 @@ pub fn run_campaign_service(
         }
     }
 
-    // Work units are blocks of up to `batch_width` remaining same-cell
-    // trials (size 1 at the default width — the scalar scheduling,
-    // unchanged). Blocks never cross a cell boundary, so a block maps to
-    // one batched engine call; a resumed cell's first block starts at its
-    // watermark.
-    let blocks = trial_blocks(spec, cfg, &watermarks);
+    let queue = trial_queue(cfg, &watermarks);
 
     // Boundary checkpoint: every `checkpoint_every` trials of the cell's
     // absolute watermark, plus cell completion. The kill hook fires
@@ -859,10 +801,10 @@ pub fn run_campaign_service(
         }
         Ok(IngestControl::Continue)
     };
-    let outcome = run_trial_blocks(
+    let outcome = run_trial_queue(
         spec,
         cfg,
-        &blocks,
+        &queue,
         &mut accs,
         &mut watermarks,
         &mut on_ingest,
@@ -1095,52 +1037,6 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(4), "1 vs 4 threads");
         assert_eq!(one, run(8), "1 vs 8 threads");
-    }
-
-    #[test]
-    fn batch_width_does_not_change_the_report() {
-        let spec = tiny_spec();
-        let run = |batch_width| {
-            run_campaign(
-                &spec,
-                &CampaignConfig {
-                    seed: 42,
-                    trials_per_cell: 10,
-                    threads: 2,
-                    batch_width,
-                    ..Default::default()
-                },
-            )
-            .to_json()
-        };
-        let scalar = run(1);
-        // Both an even divisor and a ragged width (10 = 5+5 = 8+2): lanes
-        // replicate scalar trials exactly, so the artifact is byte-identical.
-        assert_eq!(scalar, run(5), "batch 5 vs scalar");
-        assert_eq!(scalar, run(8), "batch 8 vs scalar");
-        assert_eq!(scalar, run(64), "batch 64 vs scalar");
-    }
-
-    #[test]
-    fn batch_width_falls_back_on_unsupported_cells() {
-        // Scheduled cells are outside the batch lane's scope; the engine
-        // must route them through the scalar path and still produce the
-        // same report.
-        let spec = crash_spec();
-        let run = |batch_width| {
-            run_campaign(
-                &spec,
-                &CampaignConfig {
-                    seed: 9,
-                    trials_per_cell: 6,
-                    threads: 2,
-                    batch_width,
-                    ..Default::default()
-                },
-            )
-            .to_json()
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * **Plan** (`shard-plan.json`): written once by `rcb shard plan`, it
 //!   pins everything the artifact bytes depend on — campaign, seed, trial
-//!   count, slot cap, batch width, checkpoint cadence — plus the
+//!   count, slot cap, checkpoint cadence — plus the
 //!   per-cell identity keys ([`crate::store::checkpoint_key`], which
 //!   embed the build stamp). Workers refuse a plan whose keys they cannot
 //!   reproduce, so a mixed-version fleet fails loudly instead of merging
@@ -18,8 +18,10 @@
 //!   `hard_link(tmp, lease)` — the one POSIX call that *creates* a file
 //!   with full content already in place and fails with `AlreadyExists`
 //!   if someone else holds it; plain tmp+rename would be last-writer-wins,
-//!   not mutual exclusion. The owner re-writes the lease's `beat_ms`
-//!   (heartbeat) while driving the cell and removes it at completion.
+//!   not mutual exclusion. While driving the cell the owner re-writes the
+//!   lease's `beat_ms` (heartbeat) from a timer thread every
+//!   `stale_after_ms / 4`, however long its trials take, and removes the
+//!   lease at completion.
 //! * **Steal**: a lease whose heartbeat is older than the plan's
 //!   `stale_after_ms` is presumed dead. A thief `rename`s the lease onto a
 //!   private tombstone — exactly one concurrent thief wins the rename
@@ -38,16 +40,16 @@
 //! *same* replicate stream for a cell and ingests it in the same order,
 //! double-computation (two workers racing one cell) wastes time but can
 //! never change bytes. The merged artifact is byte-identical to a
-//! single-process `rcb run` at any worker count, kill pattern, and batch
-//! width — `tests/shard_scheduler.rs` and the CI shard-smoke job enforce
-//! exactly that with `cmp`.
+//! single-process `rcb run` at any worker count and kill pattern —
+//! `tests/shard_scheduler.rs` and the CI shard-smoke job enforce exactly
+//! that with `cmp`.
 
 use crate::checkpoint::{
     as_arr, as_str, as_u64, checkpoint_path, fnv1a64, get, load_checkpoint, write_atomic,
     write_checkpoint, CellCheckpoint, ServiceError, FNV_BASIS,
 };
 use crate::engine::{
-    assemble_report, run_trial_blocks, trial_blocks, CampaignConfig, CellAccumulator, IngestControl,
+    assemble_report, run_trial_queue, trial_queue, CampaignConfig, CellAccumulator, IngestControl,
 };
 use crate::json::Json;
 use crate::jsonin;
@@ -55,12 +57,16 @@ use crate::report::CampaignReport;
 use crate::scenario::CampaignSpec;
 use crate::store::{checkpoint_key, hash128, store_key, Store};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, SystemTime};
 
 /// Version of the shard plan / lease / planref file schemas. History:
 ///
 /// * **1** — initial format (see `docs/SCHEMA.md`).
-pub const SHARD_SCHEMA_VERSION: u64 = 1;
+/// * **2** — the plan no longer carries a batch width (the trial-batched
+///   lane is gone), so it leaves the plan identity too.
+pub const SHARD_SCHEMA_VERSION: u64 = 2;
 
 /// The plan file's name inside a shard state directory.
 pub const PLAN_FILE: &str = "shard-plan.json";
@@ -84,7 +90,6 @@ pub struct ShardPlan {
     pub campaign: String,
     pub seed: u64,
     pub trials_per_cell: u64,
-    pub batch_width: u64,
     /// Global slot-cap override (`--max-slots`), if any.
     pub max_slots: Option<u64>,
     /// Checkpoint cadence on the absolute per-cell watermark. Shard plans
@@ -116,7 +121,6 @@ impl ShardPlan {
             max_slots: self.max_slots,
             progress: false,
             telemetry: false,
-            batch_width: self.batch_width,
         }
     }
 
@@ -171,11 +175,10 @@ pub fn plan_path(state_dir: &Path) -> PathBuf {
 
 fn plan_identity(plan: &ShardPlan) -> String {
     format!(
-        "shard-plan|campaign={}|seed={}|trials={}|batch={}|max_slots={:?}|every={}|keys={}",
+        "shard-plan|campaign={}|seed={}|trials={}|max_slots={:?}|every={}|keys={}",
         plan.campaign,
         plan.seed,
         plan.trials_per_cell,
-        plan.batch_width,
         plan.max_slots,
         plan.checkpoint_every,
         plan.cell_keys.join(",")
@@ -190,7 +193,6 @@ fn plan_to_json(plan: &ShardPlan) -> Json {
         ("campaign", plan.campaign.as_str().into()),
         ("seed", plan.seed.into()),
         ("trials_per_cell", plan.trials_per_cell.into()),
-        ("batch_width", plan.batch_width.into()),
         (
             "max_slots",
             plan.max_slots.map(Json::from).unwrap_or(Json::Null),
@@ -286,7 +288,6 @@ fn plan_from_json(v: &Json, path: &Path) -> Result<ShardPlan, ServiceError> {
         campaign: as_str(v, "campaign").map_err(&fail)?.to_string(),
         seed: as_u64(v, "seed").map_err(&fail)?,
         trials_per_cell: as_u64(v, "trials_per_cell").map_err(&fail)?,
-        batch_width: as_u64(v, "batch_width").map_err(&fail)?,
         max_slots: opt_u64("max_slots").map_err(&fail)?,
         checkpoint_every: as_u64(v, "checkpoint_every").map_err(&fail)?,
         stale_after_ms: as_u64(v, "stale_after_ms").map_err(&fail)?,
@@ -373,7 +374,6 @@ pub fn write_plan(
         campaign: spec.name.clone(),
         seed: cfg.seed,
         trials_per_cell: cfg.trials_per_cell,
-        batch_width: cfg.batch_width,
         max_slots: cfg.max_slots,
         checkpoint_every: opts.checkpoint_every,
         stale_after_ms: opts.stale_after_ms,
@@ -826,7 +826,7 @@ pub enum WorkerOutcome {
 
 /// Work one plan until every cell is done (or the kill switch fires):
 /// scan, claim or steal a cell, drive it through the checkpoint machinery
-/// via the campaign engine's block runner, heartbeat while driving,
+/// via the campaign engine's trial-queue runner, heartbeat while driving,
 /// publish to the store, release the lease, repeat.
 ///
 /// Any number of workers may run this concurrently against the same state
@@ -901,7 +901,7 @@ pub fn shard_work(
                 }
                 None => {}
             }
-            let mut lease = Lease {
+            let lease = Lease {
                 plan_id: plan.plan_id.clone(),
                 cell: c as u64,
                 owner: opts.worker_id.clone(),
@@ -918,7 +918,7 @@ pub fn shard_work(
                 state_dir,
                 store.as_ref(),
                 c,
-                &mut lease,
+                &lease,
                 opts,
                 trials_simulated,
             )? {
@@ -932,7 +932,9 @@ pub fn shard_work(
                         trials_simulated: trials_simulated + simulated,
                     });
                 }
-                Drive::Abandoned => {} // lease lost; partial state discarded
+                // Lease lost (partial state discarded), or the cell was
+                // finished by another worker since the scan.
+                Drive::Abandoned | Drive::AlreadyDone => {}
             }
         }
         if all_done {
@@ -949,18 +951,24 @@ pub fn shard_work(
     }
 }
 
+/// How [`drive_cell`] left a claimed cell. `AlreadyDone` means the
+/// checkpoint re-read under our lease shows the cell complete — its owner
+/// finished and released between our scan and our claim — so this worker
+/// does not count it as completed.
 enum Drive {
     Completed { simulated: u64, warm: bool },
     Killed { simulated: u64 },
     Abandoned,
+    AlreadyDone,
 }
 
 /// Drive one claimed cell from its checkpoint watermark to `n`,
 /// checkpointing at the plan's cadence with ownership verified before
-/// every write, heartbeating on a `stale_after/4` cadence, honouring the
-/// kill switch, and publishing the completed cell to the store. Releases
-/// the lease on completion; leaves it on kill; the lease is already gone
-/// on abandon.
+/// every write, heartbeating from a timer thread every `stale_after/4`,
+/// honouring the kill switch, and publishing the completed cell to the
+/// store. Releases the lease on completion and when the cell turns out to
+/// be done already; leaves it on kill; the lease is already gone on
+/// abandon.
 #[allow(clippy::too_many_arguments)]
 fn drive_cell(
     spec: &CampaignSpec,
@@ -968,7 +976,7 @@ fn drive_cell(
     state_dir: &Path,
     store: Option<&Store>,
     c: usize,
-    lease: &mut Lease,
+    lease: &Lease,
     opts: &WorkerOptions,
     already_simulated: u64,
 ) -> Result<Drive, ServiceError> {
@@ -977,7 +985,8 @@ fn drive_cell(
     let cell = &spec.cells[c];
     let max_slots = plan.max_slots.unwrap_or(cell.max_slots);
 
-    // Resume point: the validated checkpoint, if any.
+    // Resume point: the validated checkpoint, if any. This read happens
+    // under our lease, so it also re-verifies the scan's watermark.
     let path = checkpoint_path(state_dir, c);
     let mut acc = CellAccumulator::new();
     let mut watermark = 0u64;
@@ -1028,28 +1037,30 @@ fn drive_cell(
 
     if watermark >= n {
         release_lease(state_dir, lease)?;
-        return Ok(Drive::Completed {
-            simulated: 0,
-            warm: false,
-        });
+        return Ok(Drive::AlreadyDone);
     }
 
-    // Only this cell gets blocks: every other cell's watermark is pinned
-    // to n so trial_blocks schedules nothing for it.
+    // Only this cell is queued: every other cell's watermark is pinned to
+    // n so trial_queue schedules nothing for it.
     let mut accs: Vec<CellAccumulator> = (0..spec.cells.len())
         .map(|_| CellAccumulator::new())
         .collect();
     let mut watermarks: Vec<u64> = vec![n; spec.cells.len()];
     accs[c] = acc;
     watermarks[c] = watermark;
-    let blocks = trial_blocks(spec, &cfg, &watermarks);
+    let queue = trial_queue(&cfg, &watermarks);
 
-    let beat_every = Duration::from_millis((plan.stale_after_ms / 4).max(1));
-    let mut last_beat = Instant::now();
+    // Set by the heartbeat thread when the lease is lost (or its write
+    // fails); the next ingest turns it into an abandon.
+    let lost = AtomicBool::new(false);
     let mut abandoned = false;
     let mut killed = false;
     let mut on_ingest = |cell_idx: usize, w: u64, acc: &CellAccumulator, simulated: u64| {
         debug_assert_eq!(cell_idx, c, "worker drives exactly one cell");
+        if lost.load(Ordering::Relaxed) {
+            abandoned = true;
+            return Ok(IngestControl::Stop);
+        }
         let boundary = w == n || w.is_multiple_of(plan.checkpoint_every);
         if boundary {
             // Cooperative fencing: never write a checkpoint for a cell we
@@ -1068,13 +1079,6 @@ fn drive_cell(
             };
             write_checkpoint(state_dir, &ckpt)?;
         }
-        if last_beat.elapsed() >= beat_every {
-            if !heartbeat(state_dir, lease)? {
-                abandoned = true;
-                return Ok(IngestControl::Stop);
-            }
-            last_beat = Instant::now();
-        }
         if opts
             .max_trials
             .is_some_and(|k| already_simulated + simulated >= k)
@@ -1084,14 +1088,37 @@ fn drive_cell(
         }
         Ok(IngestControl::Continue)
     };
-    let outcome = run_trial_blocks(
-        spec,
-        &cfg,
-        &blocks,
-        &mut accs,
-        &mut watermarks,
-        &mut on_ingest,
-    )?;
+    // The heartbeat runs on its own clock so a live owner whose trials
+    // outlast `stale_after_ms` never looks dead. It stops (and is joined)
+    // before the lease is released or left behind by the kill switch.
+    let beat_every = Duration::from_millis((plan.stale_after_ms / 4).max(1));
+    let (stop_beats, beat_stopped) = mpsc::channel::<()>();
+    let (outcome, beats) = std::thread::scope(|scope| {
+        let lost = &lost;
+        let beater = scope.spawn(move || {
+            let mut mine = lease.clone();
+            while let Err(RecvTimeoutError::Timeout) = beat_stopped.recv_timeout(beat_every) {
+                let beat = heartbeat(state_dir, &mut mine);
+                if !matches!(beat, Ok(true)) {
+                    lost.store(true, Ordering::Relaxed);
+                    return beat.map(|_| ());
+                }
+            }
+            Ok(())
+        });
+        let outcome = run_trial_queue(
+            spec,
+            &cfg,
+            &queue,
+            &mut accs,
+            &mut watermarks,
+            &mut on_ingest,
+        );
+        drop(stop_beats);
+        (outcome, beater.join().expect("heartbeat thread panicked"))
+    });
+    beats?;
+    let outcome = outcome?;
 
     if killed {
         // Leave the lease in place: this models a hard death, and the
@@ -1324,6 +1351,33 @@ mod tests {
         std::fs::write(&path, text.replace("\"seed\": 11", "\"seed\": 12")).unwrap();
         let err = load_plan(&dir).expect_err("tampered plan");
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+
+        // A well-formed schema-v1 plan (it still pinned a batch width) is
+        // refused by version with file context, not misread or panicked on.
+        let Json::Object(v2) = plan_to_json(&plan) else {
+            unreachable!("plan is an object")
+        };
+        let mut v1 = Vec::new();
+        for (k, val) in v2.into_iter().filter(|(k, _)| k != "checksum") {
+            let trials = k == "trials_per_cell";
+            v1.push(match k.as_str() {
+                "schema_version" => (k, Json::from(1u64)),
+                _ => (k, val),
+            });
+            if trials {
+                v1.push(("batch_width".to_string(), Json::from(8u64)));
+            }
+        }
+        let sum = fnv1a64(Json::Object(v1.clone()).to_compact().as_bytes(), FNV_BASIS);
+        v1.push(("checksum".to_string(), Json::Str(format!("{sum:016x}"))));
+        std::fs::write(&path, Json::Object(v1).to_pretty()).unwrap();
+        let err = load_plan(&dir).expect_err("v1 plan");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&format!("{}: ", path.display())),
+            "missing file context: {msg}"
+        );
+        assert!(msg.contains("unsupported shard schema version 1"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1268,7 +1268,7 @@ const FF_MIN_EXPECTED_SKIP_SLOTS: f64 = 0.3;
 /// falls back to the plain slot loop. Pure function of the segment profile,
 /// the actor-pool size, and the slots left before the cap — no RNG, so
 /// gating a segment never perturbs the run's byte stream.
-pub(crate) fn ff_worth_it(prof: &SlotProfile, actors: usize, slots_left: u64) -> bool {
+fn ff_worth_it(prof: &SlotProfile, actors: usize, slots_left: u64) -> bool {
     if slots_left < FF_MIN_RUN_SLOTS {
         return false;
     }
@@ -1284,7 +1284,7 @@ pub(crate) fn ff_worth_it(prof: &SlotProfile, actors: usize, slots_left: u64) ->
 }
 
 /// Validate the protocol's segment contract once per segment.
-pub(crate) fn checked_profile(prof: SlotProfile, _n: u32) -> SlotProfile {
+fn checked_profile(prof: SlotProfile, _n: u32) -> SlotProfile {
     assert!(prof.seg_len >= 1, "segment must contain at least one slot");
     assert!(prof.round_len >= 1, "round_len must be at least 1");
     assert!(

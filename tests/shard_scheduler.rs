@@ -2,21 +2,25 @@
 //! independent workers over a shared state directory
 //! ([`rcb::campaign::shard_work`]) and folded by
 //! [`rcb::campaign::shard_merge`] must reproduce the single-process
-//! artifact **byte for byte** — at any worker count, any batch width, and
-//! under mid-cell worker death with lease stealing.
+//! artifact **byte for byte** — at any worker count and under mid-cell
+//! worker death with lease stealing.
 //!
-//! Contract, in three tiers:
+//! Contract, in four tiers:
 //!
-//! * **Any fleet size.** {1,2,4} workers × {1,8} batch widths all merge
-//!   to the bytes of a plain `run_campaign` of the same spec/config. The
-//!   workers race each other for cells through atomic lease claims; who
-//!   wins which cell must be invisible in the artifact.
+//! * **Any fleet size.** {1,2,4} workers all merge to the bytes of a plain
+//!   `run_campaign` of the same spec/config, and every cell is counted
+//!   completed exactly once. The workers race each other for cells
+//!   through atomic lease claims; who wins which cell must be invisible in
+//!   the artifact.
 //! * **Kill one worker mid-cell.** A worker hard-killed between
 //!   checkpoints (`max_trials` leaves its lease in place, exactly like
 //!   `kill -9`) hands its cell to the fleet via staleness: another worker
 //!   steals the lease, resumes from the watermark, and the merged bytes
 //!   are unchanged. Merge sweeps all scheduler residue (leases, tmp
 //!   files).
+//! * **Slow trials are not death.** An owner whose single trial outlasts
+//!   `stale_after_ms` keeps its lease alive from the heartbeat timer, so a
+//!   polling thief never steals it.
 //! * **Warm fleet.** A second plan over the same campaign backed by the
 //!   same store completes with **zero** simulated trials — the shard
 //!   path and the store compose.
@@ -27,8 +31,8 @@
 //! end-to-end contract.
 
 use rcb::campaign::{
-    run_campaign, shard_merge, shard_status, shard_work, write_plan, CampaignConfig, CampaignSpec,
-    CellSpec, CellState, PlanOptions, WorkerOptions, WorkerOutcome,
+    run_campaign, shard::lease_path, shard_merge, shard_status, shard_work, write_plan,
+    CampaignConfig, CampaignSpec, CellSpec, CellState, PlanOptions, WorkerOptions, WorkerOutcome,
 };
 use rcb::harness::{AdversaryKind, ProtocolKind};
 use std::path::{Path, PathBuf};
@@ -78,12 +82,11 @@ fn spec() -> CampaignSpec {
     }
 }
 
-fn cfg(trials: u64, batch_width: u64) -> CampaignConfig {
+fn cfg(trials: u64) -> CampaignConfig {
     CampaignConfig {
         seed: 2019,
         trials_per_cell: trials,
         threads: 1,
-        batch_width,
         ..Default::default()
     }
 }
@@ -124,113 +127,108 @@ fn assert_no_scheduler_residue(state_dir: &Path) {
     }
 }
 
-/// The headline matrix: {1,2,4} workers × {1,8} batch widths, every
-/// combination merging to the single-process bytes.
+/// The headline matrix: {1,2,4} workers, every fleet size merging to the
+/// single-process bytes.
 #[test]
-fn merge_is_byte_identical_across_worker_and_batch_matrix() {
+fn merge_is_byte_identical_across_worker_matrix() {
     let spec = spec();
-    for &batch_width in &[1u64, 8] {
-        let cfg = cfg(5, batch_width);
-        let reference = run_campaign(&spec, &cfg).to_json();
-        for &workers in &[1usize, 2, 4] {
-            let dir = scratch(&format!("matrix-w{workers}-b{batch_width}"));
-            write_plan(&spec, &cfg, &dir, &PlanOptions::default()).expect("plan");
-            let outcomes = run_fleet(&spec, &dir, workers);
-            let completed: u64 = outcomes
-                .iter()
-                .map(|o| match o {
-                    WorkerOutcome::Finished {
-                        cells_completed, ..
-                    } => *cells_completed,
-                    WorkerOutcome::Killed { .. } => panic!("no kill switch in this test"),
-                })
-                .sum();
-            assert_eq!(
-                completed, 3,
-                "every cell completed exactly once across the fleet \
-                 (workers={workers}, batch={batch_width})"
-            );
-            let merged = shard_merge(&spec, &dir).expect("merge");
-            assert_eq!(
-                merged.report.to_json(),
-                reference,
-                "merge bytes diverged at workers={workers}, batch={batch_width}"
-            );
-            assert_no_scheduler_residue(&dir);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+    let cfg = cfg(5);
+    let reference = run_campaign(&spec, &cfg).to_json();
+    for &workers in &[1usize, 2, 4] {
+        let dir = scratch(&format!("matrix-w{workers}"));
+        write_plan(&spec, &cfg, &dir, &PlanOptions::default()).expect("plan");
+        let outcomes = run_fleet(&spec, &dir, workers);
+        let completed: u64 = outcomes
+            .iter()
+            .map(|o| match o {
+                WorkerOutcome::Finished {
+                    cells_completed, ..
+                } => *cells_completed,
+                WorkerOutcome::Killed { .. } => panic!("no kill switch in this test"),
+            })
+            .sum();
+        assert_eq!(
+            completed, 3,
+            "every cell completed exactly once across the fleet (workers={workers})"
+        );
+        let merged = shard_merge(&spec, &dir).expect("merge");
+        assert_eq!(
+            merged.report.to_json(),
+            reference,
+            "merge bytes diverged at workers={workers}"
+        );
+        assert_no_scheduler_residue(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 /// Kill-one-worker-mid-cell: the dead worker's lease goes stale, the
 /// fleet steals it, resumes the cell from its checkpoint watermark, and
-/// the merged artifact is still byte-identical — for both batch widths.
+/// the merged artifact is still byte-identical.
 #[test]
 fn killed_worker_is_stolen_from_and_merge_bytes_are_unchanged() {
     let spec = spec();
-    for &batch_width in &[1u64, 8] {
-        let cfg = cfg(5, batch_width);
-        let reference = run_campaign(&spec, &cfg).to_json();
-        let dir = scratch(&format!("kill-b{batch_width}"));
-        write_plan(
-            &spec,
-            &cfg,
-            &dir,
-            &PlanOptions {
-                stale_after_ms: 60, // quick staleness so the test stays fast
-                ..Default::default()
-            },
-        )
-        .expect("plan");
+    let cfg = cfg(5);
+    let reference = run_campaign(&spec, &cfg).to_json();
+    let dir = scratch("kill");
+    write_plan(
+        &spec,
+        &cfg,
+        &dir,
+        &PlanOptions {
+            stale_after_ms: 60, // quick staleness so the test stays fast
+            ..Default::default()
+        },
+    )
+    .expect("plan");
 
-        // One worker dies mid-cell: 3 of the cell's 5 trials ingested,
-        // lease left in place exactly as a hard kill would.
-        let dead = shard_work(
-            &spec,
-            &dir,
-            &WorkerOptions {
-                max_trials: Some(3),
-                ..worker("doomed")
-            },
-        )
-        .expect("killed worker");
-        let WorkerOutcome::Killed { trials_simulated } = dead else {
-            panic!("kill switch did not fire: {dead:?}")
-        };
-        assert_eq!(trials_simulated, 3);
-        let status =
-            shard_status(&dir, &rcb::campaign::load_plan(&dir).expect("plan")).expect("status");
-        let victim: Vec<_> = status
-            .iter()
-            .filter(|s| s.owner.as_deref() == Some("doomed"))
-            .collect();
-        assert_eq!(victim.len(), 1, "the dead worker's lease is still held");
-        assert!(
-            victim[0].watermark > 0,
-            "mid-cell: progress was checkpointed"
-        );
-        assert!(victim[0].watermark < 5, "mid-cell: the cell is unfinished");
+    // One worker dies mid-cell: 3 of the cell's 5 trials ingested,
+    // lease left in place exactly as a hard kill would.
+    let dead = shard_work(
+        &spec,
+        &dir,
+        &WorkerOptions {
+            max_trials: Some(3),
+            ..worker("doomed")
+        },
+    )
+    .expect("killed worker");
+    let WorkerOutcome::Killed { trials_simulated } = dead else {
+        panic!("kill switch did not fire: {dead:?}")
+    };
+    assert_eq!(trials_simulated, 3);
+    let status =
+        shard_status(&dir, &rcb::campaign::load_plan(&dir).expect("plan")).expect("status");
+    let victim: Vec<_> = status
+        .iter()
+        .filter(|s| s.owner.as_deref() == Some("doomed"))
+        .collect();
+    assert_eq!(victim.len(), 1, "the dead worker's lease is still held");
+    assert!(
+        victim[0].watermark > 0,
+        "mid-cell: progress was checkpointed"
+    );
+    assert!(victim[0].watermark < 5, "mid-cell: the cell is unfinished");
 
-        // The fleet steals the stale lease and finishes everything.
-        let outcomes = run_fleet(&spec, &dir, 2);
-        let stolen: u64 = outcomes
-            .iter()
-            .map(|o| match o {
-                WorkerOutcome::Finished { cells_stolen, .. } => *cells_stolen,
-                WorkerOutcome::Killed { .. } => panic!("fleet workers have no kill switch"),
-            })
-            .sum();
-        assert_eq!(stolen, 1, "exactly one steal: the dead worker's cell");
+    // The fleet steals the stale lease and finishes everything.
+    let outcomes = run_fleet(&spec, &dir, 2);
+    let stolen: u64 = outcomes
+        .iter()
+        .map(|o| match o {
+            WorkerOutcome::Finished { cells_stolen, .. } => *cells_stolen,
+            WorkerOutcome::Killed { .. } => panic!("fleet workers have no kill switch"),
+        })
+        .sum();
+    assert_eq!(stolen, 1, "exactly one steal: the dead worker's cell");
 
-        let merged = shard_merge(&spec, &dir).expect("merge");
-        assert_eq!(
-            merged.report.to_json(),
-            reference,
-            "steal-and-resume changed bytes at batch={batch_width}"
-        );
-        assert_no_scheduler_residue(&dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let merged = shard_merge(&spec, &dir).expect("merge");
+    assert_eq!(
+        merged.report.to_json(),
+        reference,
+        "steal-and-resume changed bytes"
+    );
+    assert_no_scheduler_residue(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Status transitions: available → claimed (fresh lease) → done, and a
@@ -238,7 +236,7 @@ fn killed_worker_is_stolen_from_and_merge_bytes_are_unchanged() {
 #[test]
 fn status_tracks_the_lease_lifecycle() {
     let spec = spec();
-    let cfg = cfg(2, 1);
+    let cfg = cfg(2);
     let dir = scratch("status");
     let plan = write_plan(
         &spec,
@@ -291,7 +289,7 @@ fn status_tracks_the_lease_lifecycle() {
 #[test]
 fn second_fleet_is_fully_warm_through_the_store() {
     let spec = spec();
-    let cfg = cfg(3, 1);
+    let cfg = cfg(3);
     let store_dir = scratch("warm-store");
     let opts = PlanOptions {
         store_dir: Some(store_dir.clone()),
@@ -325,4 +323,76 @@ fn second_fleet_is_fully_warm_through_the_store() {
     let _ = std::fs::remove_dir_all(&cold_dir);
     let _ = std::fs::remove_dir_all(&warm_dir);
     let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+/// A live owner whose trials each outlast `stale_after_ms` must keep its
+/// lease: the heartbeat runs on a timer, not on trial completion, so a
+/// thief polling the whole time never finds the lease stale.
+#[test]
+fn slow_trials_keep_their_lease_against_a_polling_thief() {
+    // One heavy cell: a MultiCast trial at n = 512 under a 3M-slot budget
+    // runs for about three staleness windows even in an optimized build.
+    let spec = CampaignSpec {
+        name: "shard-slow".into(),
+        description: "slow-trial lease fixture".into(),
+        cells: vec![CellSpec::new(
+            ProtocolKind::MultiCast {
+                n: 512,
+                params: Default::default(),
+            },
+            AdversaryKind::Uniform {
+                t: 3_000_000,
+                frac: 0.5,
+            },
+        )],
+    };
+    let cfg = cfg(2);
+    let stale_after_ms = 100;
+    let reference = run_campaign(&spec, &cfg).to_json();
+    let dir = scratch("slow");
+    write_plan(
+        &spec,
+        &cfg,
+        &dir,
+        &PlanOptions {
+            stale_after_ms,
+            ..Default::default()
+        },
+    )
+    .expect("plan");
+
+    let (owner, thief, trial_ms) = std::thread::scope(|scope| {
+        let started = std::time::Instant::now();
+        let owner = scope.spawn(|| shard_work(&spec, &dir, &worker("owner")).expect("owner"));
+        // The thief starts once the owner holds the lease, then polls.
+        while !lease_path(&dir, 0).exists() {
+            assert!(!owner.is_finished(), "owner finished without a lease");
+            std::thread::yield_now();
+        }
+        let thief = scope.spawn(|| shard_work(&spec, &dir, &worker("thief")).expect("thief"));
+        let owner = owner.join().expect("owner panicked");
+        let trial_ms = started.elapsed().as_millis() as u64 / cfg.trials_per_cell;
+        (owner, thief.join().expect("thief panicked"), trial_ms)
+    });
+    assert!(
+        trial_ms > stale_after_ms,
+        "fixture too fast to exercise staleness: {trial_ms} ms per trial"
+    );
+    let counts = |o: &WorkerOutcome| match o {
+        WorkerOutcome::Finished {
+            cells_completed,
+            cells_stolen,
+            ..
+        } => (*cells_completed, *cells_stolen),
+        WorkerOutcome::Killed { .. } => panic!("no kill switch in this test"),
+    };
+    assert_eq!(
+        (counts(&owner), counts(&thief)),
+        ((1, 0), (0, 0)),
+        "(completed, stolen) for owner and thief: nothing may be stolen from a live owner"
+    );
+    let merged = shard_merge(&spec, &dir).expect("merge");
+    assert_eq!(merged.report.to_json(), reference);
+    assert_no_scheduler_residue(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
