@@ -1,7 +1,7 @@
 //! Bursty environmental interference via a Gilbert–Elliott channel model.
 
 use crate::{frac_to_count, slot_offset};
-use rcb_sim::{derive_seed, geometric_gap, Adversary, JamSet, SpanCharge, Xoshiro256};
+use rcb_sim::{derive_seed, gap_from_uniform, Adversary, JamSet, SpanCharge, Xoshiro256};
 
 /// A two-state Markov interference source: in the **good** state nothing is
 /// jammed; in the **bad** state a fraction of the band is. Transitions
@@ -79,7 +79,7 @@ impl GilbertElliott {
         if flip >= 1.0 {
             return 1;
         }
-        geometric_gap(&mut self.rng, (1.0 - flip).ln()).saturating_add(1)
+        gap_from_uniform(self.rng.next_f64(), (1.0 - flip).ln()).saturating_add(1)
     }
 
     /// Advance the chain `k` steps via sojourn jumps, counting how many of

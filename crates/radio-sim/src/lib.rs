@@ -75,7 +75,7 @@ pub use protocol::{
     SlotProfile, SpanCharge,
 };
 pub use rng::{derive_seed, SplitMix64, Xoshiro256};
-pub use sampler::{bernoulli_subset, geometric_gap, sample_two_class, TwoClassRoundStream};
+pub use sampler::{bernoulli_subset, gap_from_uniform, sample_two_class, TwoClassRoundStream};
 pub use schedule::{ScheduleMarker, WorldEvent, WorldSchedule, LINK_LOSS_STREAM};
 pub use telemetry::{EngineTelemetry, PhaseNanos, SPAN_HIST_BUCKETS};
 pub use topology::{Topology, TopologyView};

@@ -8,6 +8,14 @@
 //! `Geometric(p)`. This produces exactly the same distribution as `m`
 //! independent Bernoulli draws — see `bernoulli_subset_matches_dense` below,
 //! which cross-validates against the dense method — in `O(p·m)` expected time.
+//!
+//! Each gap is drawn by inversion, `⌊ln(1−U)/ln(1−p)⌋`
+//! ([`gap_from_uniform`]). On the engine's hot path
+//! ([`TwoClassRoundStream`]) a segment with `p ≳ 0.16` (`q¹⁶ ≤ 1/16` for
+//! `q = 1 − p`) answers gaps below 16 from a table of the thresholds `qᵏ`
+//! instead of calling `ln`, falling back to the formula within `10⁻⁹`
+//! (relative) of a threshold; the result is the same integer either way
+//! (see `GapTable`), so no artifact depends on which path ran.
 
 use crate::rng::Xoshiro256;
 
@@ -106,24 +114,95 @@ pub fn sample_two_class(
     }
 }
 
-/// Draw `Geometric(p)` on `{0, 1, …}` by inversion — `⌊ln(1−U)/ln(1−p)⌋` —
-/// from a precomputed `ln_q = ln(1 − p)`, saturating to `u64::MAX`
-/// ("never") on overflow or a degenerate draw.
+/// `Geometric(p)` on `{0, 1, …}` by inversion — `⌊ln(1−u)/ln(1−p)⌋` for a
+/// uniform `u ∈ [0, 1)` — from a precomputed `ln_q = ln(1 − p)`, saturating
+/// to `u64::MAX` ("never") on overflow or a degenerate draw.
 ///
 /// `ln_q` must be finite and strictly negative (`p ∈ (0, 1)`); callers
 /// special-case `p ≤ 0` (never succeeds) and `p ≥ 1` (always succeeds)
-/// themselves. Shared by [`TwoClassRoundStream`] and the sojourn-jump
-/// adversaries in `rcb-adversary` so the numerically subtle edge cases
-/// (`U → 1`, tiny `p`, f64→u64 saturation) live in exactly one place.
+/// themselves. Shared by [`TwoClassRoundStream`] (directly, and as the
+/// fallback of its table draw) and the sojourn-jump adversaries in
+/// `rcb-adversary`, so the numerically subtle edge cases (`u → 1`, tiny `p`,
+/// f64→u64 saturation) live in exactly one place.
 #[inline]
-pub fn geometric_gap(rng: &mut Xoshiro256, ln_q: f64) -> u64 {
+pub fn gap_from_uniform(u: f64, ln_q: f64) -> u64 {
     debug_assert!(ln_q.is_finite() && ln_q < 0.0, "ln_q = {ln_q}");
-    let u = rng.next_f64();
     let gap = ((1.0 - u).ln() / ln_q).floor();
     if gap.is_finite() && gap < u64::MAX as f64 {
         gap as u64
     } else {
         u64::MAX
+    }
+}
+
+/// Number of thresholds in a [`GapTable`]: gaps `0..GAP_TABLE_LEN` are
+/// answered by table lookup, longer ones by [`gap_from_uniform`].
+const GAP_TABLE_LEN: usize = 16;
+
+/// Relative half-width of the margin band around each table threshold.
+/// Inside a band the table defers to the `ln` formula.
+const GAP_TABLE_MARGIN: f64 = 1e-9;
+
+/// Exact table form of [`gap_from_uniform`] for one fixed `ln_q`.
+///
+/// With `x = 1 − u` and thresholds `t_k = exp(k·ln_q)` (`= qᵏ`), the gap is
+/// `⌊ln x / ln_q⌋ = #{k ≥ 1 : t_k ≥ x}`, so a draw is 16 comparisons instead
+/// of a libm `ln`. Each threshold is widened into a band
+/// `[t_k(1−ε), t_k(1+ε)]` with `ε = 1e-9`; a draw whose `x` lies inside a
+/// band, or below the last band (gap ≥ 16), falls back to
+/// [`gap_from_uniform`] on the same `u`.
+///
+/// **Why the two never disagree.** Outside every band, `ln x` is at least
+/// `ln(1+ε) ≈ 1e-9` away from each `k·ln_q`, so the exact quotient
+/// `ln x / ln_q` is at least `1e-9 / |ln_q|` from every integer. Since
+/// `q = 1 − p ≥ 2⁻⁵³` for any f64 `p < 1`, `|ln_q| < 37` and that distance
+/// exceeds `2.7e-11`. The fp quotient of `gap_from_uniform` is within a few
+/// ulps of the exact one (below `1e-14` absolute for quotients under 16),
+/// and the fp thresholds are within a few hundred ulps of `qᵏ` (below
+/// `1e-13` relative, far inside `ε`), so the table count, the exact floor
+/// and the fp floor are the same integer. No randomness is consumed beyond
+/// the one uniform either path reads.
+#[derive(Clone, Debug)]
+struct GapTable {
+    /// `hi[k−1] = t_k(1+ε)`: upper band edges, decreasing in `k`.
+    hi: [f64; GAP_TABLE_LEN],
+    /// `lo[k] = t_k(1−ε)` for `k ≥ 1`; `lo[0] = ∞` (no band at `t_0 = 1`).
+    lo: [f64; GAP_TABLE_LEN],
+}
+
+impl GapTable {
+    /// The table for `ln_q`, or `None` when a draw would fall past the last
+    /// threshold more than one time in 16 (`q¹⁶ > 1/16`, i.e. `p ≲ 0.16`);
+    /// sparse streams keep the plain `ln` draw, which is cheaper for them.
+    fn for_ln_q(ln_q: f64) -> Option<Self> {
+        let len = GAP_TABLE_LEN as f64;
+        if ln_q * len > -len.ln() {
+            return None;
+        }
+        let mut hi = [0.0; GAP_TABLE_LEN];
+        let mut lo = [f64::INFINITY; GAP_TABLE_LEN];
+        for k in 1..=GAP_TABLE_LEN {
+            let t = (k as f64 * ln_q).exp();
+            hi[k - 1] = t * (1.0 + GAP_TABLE_MARGIN);
+            if k < GAP_TABLE_LEN {
+                lo[k] = t * (1.0 - GAP_TABLE_MARGIN);
+            }
+        }
+        Some(Self { hi, lo })
+    }
+
+    /// `gap_from_uniform(u, ln_q)` for the table's own `ln_q`.
+    #[inline]
+    fn gap(&self, u: f64, ln_q: f64) -> u64 {
+        let x = 1.0 - u;
+        // Branch-free count of upper band edges at or above x: x then lies
+        // above t_{k+1}'s band, and below t_k's band unless x ≥ lo[k].
+        let k: usize = self.hi.iter().map(|&h| (x <= h) as usize).sum();
+        if k < GAP_TABLE_LEN && x < self.lo[k] {
+            k as u64
+        } else {
+            gap_from_uniform(u, ln_q)
+        }
     }
 }
 
@@ -155,6 +234,8 @@ pub struct TwoClassRoundStream {
     p2: f64,
     /// `ln(1 − total)` when `0 < total < 1` (unused otherwise).
     ln_q: f64,
+    /// Table form of the gap draw for dense-enough segments.
+    table: Option<GapTable>,
     /// Concatenated-process indices still to skip before the next selected
     /// node. `u64::MAX` means "no further selection, ever".
     gap: u64,
@@ -176,33 +257,37 @@ impl TwoClassRoundStream {
             "action probabilities must satisfy p1 + p2 <= 1 (got {p1} + {p2})"
         );
         assert!(m > 0, "a segment needs at least one active node");
-        let ln_q = if total > 0.0 && total < 1.0 {
-            (1.0 - total).ln()
+        let (ln_q, table) = if total > 0.0 && total < 1.0 {
+            let ln_q = (1.0 - total).ln();
+            (ln_q, GapTable::for_ln_q(ln_q))
         } else {
-            0.0
+            (0.0, None)
         };
-        let gap = if total <= 0.0 {
-            u64::MAX
-        } else if total >= 1.0 {
-            0
-        } else {
-            Self::draw_gap(rng, ln_q)
-        };
-        Self {
+        let mut stream = Self {
             m: m as u64,
             total,
             frac1: if total > 0.0 { p1 / total } else { 0.0 },
             p1,
             p2,
             ln_q,
-            gap,
+            table,
+            gap: if total <= 0.0 { u64::MAX } else { 0 },
+        };
+        if total > 0.0 && total < 1.0 {
+            stream.gap = stream.draw_gap(rng);
         }
+        stream
     }
 
-    /// One geometric gap draw from the segment's cached `ln(1 − p)`.
+    /// One geometric gap draw (one uniform) from the segment's cached
+    /// `ln(1 − p)`, by table lookup when the segment has a table.
     #[inline]
-    fn draw_gap(rng: &mut Xoshiro256, ln_q: f64) -> u64 {
-        geometric_gap(rng, ln_q)
+    fn draw_gap(&self, rng: &mut Xoshiro256) -> u64 {
+        let u = rng.next_f64();
+        match &self.table {
+            Some(table) => table.gap(u, self.ln_q),
+            None => gap_from_uniform(u, self.ln_q),
+        }
     }
 
     /// Number of whole rounds, starting at the current round, that are
@@ -246,7 +331,7 @@ impl TwoClassRoundStream {
         while self.gap < self.m {
             let idx = self.gap as u32;
             self.classify(rng, idx, class1, class2);
-            let g = Self::draw_gap(rng, self.ln_q);
+            let g = self.draw_gap(rng);
             self.gap = (self.gap + 1).saturating_add(g);
         }
         if self.gap != u64::MAX {
@@ -563,5 +648,114 @@ mod tests {
         sample_two_class(&mut rng, 1000, 0.0, 0.3, &mut c1, &mut c2, &mut scratch);
         assert!(c1.is_empty());
         assert!(!c2.is_empty());
+    }
+
+    /// Total action probabilities the table tests cover: the dense
+    /// multi-hop/multi-message regime, points down to the gate, and one
+    /// sparse probability that stays on the `ln` path.
+    const TABLE_PROBS: [f64; 5] = [0.5, 0.3, 0.2, 0.16, 1.0 / 32.0];
+
+    #[test]
+    fn gap_table_gate_follows_q_pow_16() {
+        for p in TABLE_PROBS {
+            let ln_q = (1.0 - p).ln();
+            let expect = (1.0 - p).powi(16) <= 1.0 / 16.0;
+            assert_eq!(GapTable::for_ln_q(ln_q).is_some(), expect, "p = {p}");
+        }
+        assert!(GapTable::for_ln_q((1.0f64 - 0.16).ln()).is_some());
+        assert!(GapTable::for_ln_q((1.0f64 - 0.15).ln()).is_none());
+    }
+
+    /// The table draw equals `gap_from_uniform` on 10⁷ seeded uniforms
+    /// (2·10⁶ per probability); the gate-off stream draws by the formula.
+    #[test]
+    fn table_gap_matches_ln_formula_on_seeded_uniforms() {
+        for (i, p) in TABLE_PROBS.into_iter().enumerate() {
+            let ln_q = (1.0 - p).ln();
+            let table = GapTable::for_ln_q(ln_q);
+            let mut rng = Xoshiro256::seeded(1000 + i as u64);
+            let mut fallbacks = 0u64;
+            for _ in 0..2_000_000 {
+                let u = rng.next_f64();
+                let want = gap_from_uniform(u, ln_q);
+                if let Some(t) = &table {
+                    assert_eq!(t.gap(u, ln_q), want, "p = {p}, u = {u:e}");
+                }
+                fallbacks += (want >= GAP_TABLE_LEN as u64) as u64;
+            }
+            if table.is_some() {
+                // The gate keeps the fallback share at or below 1/16.
+                assert!(fallbacks <= 2_000_000 / 16 + 5_000, "p = {p}: {fallbacks}");
+            }
+        }
+    }
+
+    /// Uniforms that put `x = 1 − u` on and next to every threshold `t_k`
+    /// and every band edge, stepping ±1…4 ulps in both `x` and `u`.
+    #[test]
+    fn table_gap_matches_ln_formula_at_thresholds() {
+        let step = |v: f64, d: i64| f64::from_bits((v.to_bits() as i64 + d) as u64);
+        for p in TABLE_PROBS {
+            let ln_q = (1.0 - p).ln();
+            let Some(table) = GapTable::for_ln_q(ln_q) else {
+                continue;
+            };
+            let mut checked = 0;
+            for k in 1..=GAP_TABLE_LEN {
+                let t = (k as f64 * ln_q).exp();
+                let edges = [
+                    t,
+                    t * (1.0 + GAP_TABLE_MARGIN),
+                    t * (1.0 - GAP_TABLE_MARGIN),
+                ];
+                for x in edges {
+                    for d in -4..=4 {
+                        for u in [1.0 - step(x, d), step(1.0 - x, d)] {
+                            assert_eq!(
+                                table.gap(u, ln_q),
+                                gap_from_uniform(u, ln_q),
+                                "p = {p}, k = {k}, d = {d}, u = {u:e}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(checked, GAP_TABLE_LEN * 3 * 9 * 2);
+        }
+    }
+
+    /// A table-gated stream emits exactly the class sequences of a
+    /// reference carried-gap loop that draws every gap by the formula.
+    #[test]
+    fn table_gated_stream_matches_ln_reference_loop() {
+        for (m, p1, p2) in [(32usize, 0.25, 0.25), (7, 0.1, 0.2), (64, 0.16, 0.0)] {
+            let total: f64 = p1 + p2;
+            let ln_q = (1.0 - total).ln();
+            let mut rng_a = Xoshiro256::seeded(77);
+            let mut rng_b = Xoshiro256::seeded(77);
+            let mut stream = TwoClassRoundStream::new(&mut rng_a, m, p1, p2);
+            assert!(stream.table.is_some(), "p = {total} should take the table");
+            let mut gap = gap_from_uniform(rng_b.next_f64(), ln_q);
+            let (mut c1, mut c2, mut r1, mut r2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for round in 0..100_000 {
+                c1.clear();
+                c2.clear();
+                r1.clear();
+                r2.clear();
+                stream.next_round(&mut rng_a, &mut c1, &mut c2);
+                while gap < m as u64 {
+                    let idx = gap as u32;
+                    if p2 <= 0.0 || rng_b.gen_bool(p1 / total) {
+                        r1.push(idx);
+                    } else {
+                        r2.push(idx);
+                    }
+                    gap = (gap + 1).saturating_add(gap_from_uniform(rng_b.next_f64(), ln_q));
+                }
+                gap -= m as u64;
+                assert_eq!((&c1, &c2), (&r1, &r2), "m = {m}, round {round}");
+            }
+        }
     }
 }
