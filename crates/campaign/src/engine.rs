@@ -195,15 +195,20 @@ impl MetricAcc {
     }
 
     fn report(&self) -> MetricReport {
+        let min = self.moments.min().unwrap_or(0.0);
+        let max = self.moments.max().unwrap_or(0.0);
+        // The sketch answers within 1% relative error, which can land just
+        // outside the observed range; the exact moments bound it.
+        let quantile = |q| self.sketch.quantile(q).map_or(0.0, |v| v.max(min).min(max));
         MetricReport {
             count: self.moments.count(),
             mean: self.moments.mean(),
             std_dev: self.moments.std_dev(),
-            min: self.moments.min().unwrap_or(0.0),
-            max: self.moments.max().unwrap_or(0.0),
-            p50: self.sketch.quantile(0.5).unwrap_or(0.0),
-            p90: self.sketch.quantile(0.9).unwrap_or(0.0),
-            p99: self.sketch.quantile(0.99).unwrap_or(0.0),
+            min,
+            max,
+            p50: quantile(0.5),
+            p90: quantile(0.9),
+            p99: quantile(0.99),
         }
     }
 }
@@ -932,6 +937,36 @@ mod tests {
                 .with_max_slots(100_000),
             ],
         }
+    }
+
+    /// Twenty trials that all finish at slot 49152 used to report the
+    /// sketch's bucket midpoint (p50 = 49528.8); quantiles now stay inside
+    /// the exact [min, max].
+    #[test]
+    fn quantiles_are_clamped_to_the_observed_range() {
+        let mut acc = MetricAcc::new();
+        for _ in 0..20 {
+            acc.push(49152.0);
+        }
+        assert!(acc.sketch.quantile(0.5).expect("nonempty") > 49152.0);
+        let r = acc.report();
+        assert_eq!((r.min, r.max), (49152.0, 49152.0));
+        assert_eq!((r.p50, r.p90, r.p99), (49152.0, 49152.0, 49152.0));
+
+        let mut spread = MetricAcc::new();
+        for x in [3.0, 7.0, 1000.0, 1001.0, 5000.0] {
+            spread.push(x);
+        }
+        let r = spread.report();
+        for q in [r.p50, r.p90, r.p99] {
+            assert!(
+                (r.min..=r.max).contains(&q),
+                "{q} outside [{}, {}]",
+                r.min,
+                r.max
+            );
+        }
+        assert_eq!(MetricAcc::new().report().p50, 0.0);
     }
 
     #[test]

@@ -32,7 +32,10 @@ use rcb_stats::Table;
 ///   byte-identical to its v3 rendering.
 /// * **5** — `perf.ff_gated_segments`: segments where the heuristic
 ///   fast-forward gate fell back to the plain slot loop.
-pub const SCHEMA_VERSION: u64 = 5;
+/// * **6** — metric quantiles (`p50`/`p90`/`p99`) are clamped to the
+///   metric's exact `[min, max]`; no field changes, only quantile leaves
+///   that used to fall outside the observed range move.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Git revision baked into this binary at build time (stamped into every
 /// artifact header as `code_version`; `"unknown"` when git was unavailable
@@ -283,7 +286,8 @@ pub struct MetricReport {
     pub std_dev: f64,
     pub min: f64,
     pub max: f64,
-    /// Quantiles from the streaming sketch (1% relative error).
+    /// Quantiles from the streaming sketch (1% relative error), clamped
+    /// to `[min, max]`.
     pub p50: f64,
     pub p90: f64,
     pub p99: f64,
@@ -510,7 +514,7 @@ mod tests {
     #[test]
     fn json_has_schema_version_and_escapes() {
         let j = report().to_json();
-        assert!(j.starts_with("{\n  \"schema_version\": 5,"));
+        assert!(j.starts_with("{\n  \"schema_version\": 6,"));
         assert!(j.contains("\"kind\": \"rcb-campaign-report\""));
         assert!(j.contains("\"code_version\": \"deadbeef\""));
         assert!(j.contains(r#"a \"quoted\" description"#));

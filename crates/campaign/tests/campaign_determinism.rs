@@ -59,7 +59,7 @@ fn artifact_is_byte_identical_across_thread_counts() {
         .to_json()
     };
     let reference = json_at(1);
-    assert!(reference.contains("\"schema_version\": 5"));
+    assert!(reference.contains("\"schema_version\": 6"));
     assert_eq!(reference, json_at(2));
     assert_eq!(reference, json_at(5));
 }

@@ -36,7 +36,7 @@ fn example_spec_reproduces_the_builtin_nemesis_cells_leaf_for_leaf() {
     // block and the artifact exposes the v4 markers CI greps for.
     assert!(a.cells.iter().all(|c| c.schedule.is_some()));
     let json = a.to_json();
-    assert!(json.contains("\"schema_version\": 5"));
+    assert!(json.contains("\"schema_version\": 6"));
     assert!(json.contains("\"timeline\""));
     assert!(json.contains("\"survivors\""));
 }

@@ -298,7 +298,7 @@ fn multi_hop_campaign_is_thread_deterministic() {
         .to_json()
     };
     let reference = json_at(1);
-    assert!(reference.contains("\"schema_version\": 5"));
+    assert!(reference.contains("\"schema_version\": 6"));
     assert!(reference.contains("\"topology\": \"line\""));
     assert!(reference.contains("\"topology\": \"dynamic\""));
     assert_eq!(reference, json_at(4), "1 vs 4 threads");
