@@ -551,6 +551,44 @@ pub fn load_checkpoint(path: &Path) -> Result<Option<CellCheckpoint>, ServiceErr
         .map_err(|e| ServiceError::at(path, e))
 }
 
+/// Load cell `cell`'s checkpoint under `dir` and validate it for a run of
+/// `trials` trials of the cell keyed `key`. `Ok(None)` when there is none
+/// yet; a checkpoint of another cell configuration, or one past `trials`,
+/// is a [`ServiceError`] naming the file, like every [`load_checkpoint`]
+/// failure.
+pub(crate) fn load_cell_checkpoint(
+    dir: &Path,
+    cell: usize,
+    key: &str,
+    trials: u64,
+) -> Result<Option<CellCheckpoint>, ServiceError> {
+    let path = checkpoint_path(dir, cell);
+    let Some(ckpt) = load_checkpoint(&path)? else {
+        return Ok(None);
+    };
+    if ckpt.key != key {
+        return Err(ServiceError::at(
+            &path,
+            format!(
+                "checkpoint belongs to a different cell configuration (key {} vs expected \
+                 {key}); move or delete the state directory",
+                ckpt.key
+            ),
+        ));
+    }
+    if ckpt.trials_done > trials {
+        return Err(ServiceError::at(
+            &path,
+            format!(
+                "checkpoint watermark {} exceeds the requested {trials} trials; trials can \
+                 grow incrementally but never shrink",
+                ckpt.trials_done
+            ),
+        ));
+    }
+    Ok(Some(ckpt))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

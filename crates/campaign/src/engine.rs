@@ -39,7 +39,7 @@
 //! byte-identical at any kill point and thread count
 //! (`tests/resume_equivalence.rs` pins this).
 
-use crate::checkpoint::{load_checkpoint, write_checkpoint, CellCheckpoint, ServiceError};
+use crate::checkpoint::{load_cell_checkpoint, write_checkpoint, CellCheckpoint, ServiceError};
 use crate::report::{
     code_version, CampaignReport, CellPerf, CellReport, MetricReport, ScheduleReport, TimelineEntry,
 };
@@ -746,29 +746,8 @@ pub fn run_campaign_service(
         }
         if svc.resume {
             let dir = svc.state_dir.as_ref().expect("resume requires state_dir");
-            let path = crate::checkpoint::checkpoint_path(dir, c);
-            if let Some(ckpt) = load_checkpoint(&path)? {
-                let key = checkpoint_key(&spec.name, cfg.seed, c as u64, cell, max_slots);
-                if ckpt.key != key {
-                    return Err(ServiceError::at(
-                        &path,
-                        format!(
-                            "checkpoint belongs to a different cell configuration \
-                             (key {} vs expected {key}); move or delete the state directory",
-                            ckpt.key
-                        ),
-                    ));
-                }
-                if ckpt.trials_done > n {
-                    return Err(ServiceError::at(
-                        &path,
-                        format!(
-                            "checkpoint watermark {} exceeds the requested {n} trials; \
-                             trials can grow incrementally but never shrink",
-                            ckpt.trials_done
-                        ),
-                    ));
-                }
+            let key = checkpoint_key(&spec.name, cfg.seed, c as u64, cell, max_slots);
+            if let Some(ckpt) = load_cell_checkpoint(dir, c, &key, n)? {
                 resumed_trials += ckpt.trials_done;
                 watermarks[c] = ckpt.trials_done;
                 accs[c] = ckpt.state;

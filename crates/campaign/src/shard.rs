@@ -45,7 +45,7 @@
 //! that with `cmp`.
 
 use crate::checkpoint::{
-    as_arr, as_str, as_u64, checkpoint_path, fnv1a64, get, load_checkpoint, write_atomic,
+    as_arr, as_str, as_u64, checkpoint_path, fnv1a64, get, load_cell_checkpoint, write_atomic,
     write_checkpoint, CellCheckpoint, ServiceError, FNV_BASIS,
 };
 use crate::engine::{
@@ -716,32 +716,9 @@ pub struct CellStatus {
 
 /// Validated checkpoint watermark of one cell (0 when no checkpoint).
 fn cell_watermark(state_dir: &Path, plan: &ShardPlan, cell: usize) -> Result<u64, ServiceError> {
-    let path = checkpoint_path(state_dir, cell);
-    match load_checkpoint(&path)? {
-        None => Ok(0),
-        Some(ckpt) => {
-            if ckpt.key != plan.cell_keys[cell] {
-                return Err(ServiceError::at(
-                    &path,
-                    format!(
-                        "checkpoint belongs to a different cell configuration (key {} vs the \
-                         plan's {}); move or delete the state directory",
-                        ckpt.key, plan.cell_keys[cell]
-                    ),
-                ));
-            }
-            if ckpt.trials_done > plan.trials_per_cell {
-                return Err(ServiceError::at(
-                    &path,
-                    format!(
-                        "checkpoint watermark {} exceeds the plan's {} trials",
-                        ckpt.trials_done, plan.trials_per_cell
-                    ),
-                ));
-            }
-            Ok(ckpt.trials_done)
-        }
-    }
+    let key = &plan.cell_keys[cell];
+    let ckpt = load_cell_checkpoint(state_dir, cell, key, plan.trials_per_cell)?;
+    Ok(ckpt.map_or(0, |ckpt| ckpt.trials_done))
 }
 
 /// Scan every cell's scheduler state. Pure read: never claims, steals, or
@@ -986,24 +963,12 @@ fn drive_cell(
     let max_slots = plan.max_slots.unwrap_or(cell.max_slots);
 
     // Resume point: the validated checkpoint, if any. This read happens
-    // under our lease, so it also re-verifies the scan's watermark.
-    let path = checkpoint_path(state_dir, c);
+    // under our lease, so it also re-verifies the scan's watermark: the
+    // file may have changed since, so the copy we use is validated again.
     let mut acc = CellAccumulator::new();
     let mut watermark = 0u64;
-    if let Some(ckpt) = load_checkpoint(&path)? {
-        // cell_watermark validated key and range during the scan, but the
-        // file may have changed since; re-validate on the copy we use.
-        if ckpt.key != plan.cell_keys[c] {
-            return Err(ServiceError::at(
-                &path,
-                format!(
-                    "checkpoint belongs to a different cell configuration (key {} vs the plan's \
-                     {})",
-                    ckpt.key, plan.cell_keys[c]
-                ),
-            ));
-        }
-        watermark = ckpt.trials_done.min(n);
+    if let Some(ckpt) = load_cell_checkpoint(state_dir, c, &plan.cell_keys[c], n)? {
+        watermark = ckpt.trials_done;
         acc = ckpt.state;
     }
 
@@ -1195,22 +1160,12 @@ pub fn shard_merge(spec: &CampaignSpec, state_dir: &Path) -> Result<MergeOutcome
     let mut accs: Vec<CellAccumulator> = Vec::with_capacity(plan.cells());
     for c in 0..plan.cells() {
         let path = checkpoint_path(state_dir, c);
-        let Some(ckpt) = load_checkpoint(&path)? else {
+        let Some(ckpt) = load_cell_checkpoint(state_dir, c, &plan.cell_keys[c], n)? else {
             return Err(ServiceError::at(
                 &path,
                 format!("cell {c} has no checkpoint yet (0/{n} trials); run `rcb shard work`"),
             ));
         };
-        if ckpt.key != plan.cell_keys[c] {
-            return Err(ServiceError::at(
-                &path,
-                format!(
-                    "checkpoint belongs to a different cell configuration (key {} vs the plan's \
-                     {})",
-                    ckpt.key, plan.cell_keys[c]
-                ),
-            ));
-        }
         if ckpt.trials_done != n {
             return Err(ServiceError::at(
                 &path,

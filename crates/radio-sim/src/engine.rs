@@ -26,22 +26,26 @@
 //!
 //! The engine advances segment by segment (a segment is an iteration of
 //! `MultiCastCore`/`MultiCast` or one step of an `(i, j)`-phase of
-//! `MultiCastAdv`). Within a segment every slot proceeds as:
+//! `MultiCastAdv`). `run_core` drives one function per layer:
 //!
-//! 1. **Actor sampling** (once per *round*; rounds are single slots except in
-//!    round-simulated protocols such as `MultiCast(C)`): the acting subset of
-//!    the active nodes is drawn exactly — each node independently lands in
-//!    coin class 1 w.p. `p1`, class 2 w.p. `p2` — using geometric-skip
-//!    sampling (see [`crate::sampler`]). Selected nodes choose their concrete
-//!    action and channel.
-//! 2. **Jamming**: the adversary is asked (slot index and channel count only
-//!    — she is oblivious) which channels she jams; the engine charges her
-//!    budget and truncates the request if she cannot afford it.
-//! 3. **Resolution**: per channel — silence / message / noise per the model
-//!    of Section 3 of the paper; listeners receive feedback; energy is
-//!    charged to every listener and broadcaster.
-//! 4. **Boundaries**: at a segment's end every active node runs its
+//! 1. `apply_events`: due schedule events take effect at a round start.
+//! 2. `fast_forward`: a run of idle rounds is skipped at once (below).
+//! 3. `sample` (once per *round*; rounds are single slots except in
+//!    round-simulated protocols such as `MultiCast(C)`): each active node
+//!    independently lands in coin class 1 w.p. `p1`, class 2 w.p. `p2`,
+//!    drawn by geometric-skip sampling (see [`crate::sampler`]) or, in
+//!    [`Sampling::DensePerNode`], by each node's own coin.
+//! 4. `decide`: selected nodes choose their action and virtual channel,
+//!    which maps to a sub-slot and physical channel of the round.
+//! 5. `jam`: the adversary names the channels she jams; the engine charges
+//!    her budget and truncates the request if she cannot afford it.
+//! 6. `resolve`: energy is charged to every listener and broadcaster, and
+//!    each channel resolves to silence / message / noise per Section 3.
+//! 7. `deliver`: listeners receive feedback and the ledger credits what
+//!    they learned.
+//! 8. `boundary`: at a segment's end every active node runs its
 //!    end-of-segment checks and may halt.
+//! 9. `finish`: the ledger becomes the [`RunOutcome`].
 //!
 //! # Idle-round fast-forward
 //!
@@ -97,9 +101,8 @@
 //! [`crate::Payload::Msg`]). The engine then tracks, per message, how many
 //! nodes know it and the slot by which every reachable node knew it
 //! ([`RunOutcome::messages`]); nodes report their knowledge as a bitmask
-//! ([`crate::ProtocolNode::informed_mask`]). For `k = 1` the per-message
-//! record is synthesized from the run-level counters, so the single-message
-//! hot path is unchanged.
+//! ([`crate::ProtocolNode::informed_mask`]). A single-message run is the
+//! one-bit case of the same tracking.
 //!
 //! # Determinism
 //!
@@ -114,8 +117,7 @@ use crate::channel::{ChannelBoard, Feedback, Payload};
 use crate::jamset::JamSet;
 use crate::metrics::{MessageOutcome, NodeExtra, NodeOutcome, RunOutcome, SlotStats};
 use crate::protocol::{
-    Action, Adversary, BoundaryDecision, Coin, NodeId, Protocol, ProtocolNode, SlotProfile,
-    SpanCharge,
+    Action, Adversary, BoundaryDecision, Coin, Protocol, ProtocolNode, SlotProfile, SpanCharge,
 };
 use crate::rng::{derive_seed, Xoshiro256};
 use crate::sampler::TwoClassRoundStream;
@@ -195,41 +197,6 @@ impl EngineConfig {
 
 struct NoopObserver;
 impl Observer for NoopObserver {}
-
-/// Forwards every event to the wrapped observer while counting invocations
-/// for [`EngineTelemetry::observer_events`]. The count is therefore the
-/// same whether or not a real observer is mounted.
-struct CountingObserver<'a> {
-    inner: &'a mut dyn Observer,
-    events: u64,
-}
-
-impl Observer for CountingObserver<'_> {
-    fn on_informed(&mut self, node: NodeId, slot: u64) {
-        self.events += 1;
-        self.inner.on_informed(node, slot);
-    }
-
-    fn on_halted(&mut self, node: NodeId, slot: u64) {
-        self.events += 1;
-        self.inner.on_halted(node, slot);
-    }
-
-    fn on_boundary(&mut self, slot: u64, profile: &SlotProfile, active: u32, informed: u32) {
-        self.events += 1;
-        self.inner.on_boundary(slot, profile, active, informed);
-    }
-
-    fn on_slot(&mut self, slot: u64, stats: &SlotStats) {
-        self.events += 1;
-        self.inner.on_slot(slot, stats);
-    }
-
-    fn on_idle_span(&mut self, slot: u64, len: u64, jammed: u64) {
-        self.events += 1;
-        self.inner.on_idle_span(slot, len, jammed);
-    }
-}
 
 /// The adversary seat of a [`Simulation`]: nobody, the paper's oblivious
 /// model, or the Section 8 adaptive extension.
@@ -481,764 +448,793 @@ impl<'a, P: Protocol> Simulation<'a, P> {
     /// never perturbs the run: `run` and `run_with_telemetry` produce
     /// byte-identical [`RunOutcome`]s for the same inputs.
     pub fn run_with_telemetry(self, master_seed: u64) -> (RunOutcome, EngineTelemetry) {
-        let Self {
-            protocol,
-            eve,
-            swap_eves,
-            topology,
-            schedule,
-            config,
-            observer,
-        } = self;
-        let mut noop = NoopObserver;
-        run_core(
-            protocol,
-            eve,
-            swap_eves,
-            topology,
-            schedule,
-            master_seed,
-            &config,
-            observer.unwrap_or(&mut noop),
-        )
+        run_core(self, master_seed)
     }
 }
 
-/// The single simulation loop behind [`Simulation::run`].
-#[allow(clippy::too_many_arguments)]
-fn run_core<'e, P: Protocol>(
-    protocol: &mut P,
-    mut eve: Eve<'e>,
-    swap_eves: Vec<Eve<'e>>,
-    topology: Option<&Topology>,
-    schedule: Option<&WorldSchedule>,
-    master_seed: u64,
-    cfg: &EngineConfig,
-    observer: &mut dyn Observer,
-) -> (RunOutcome, EngineTelemetry) {
-    let n = protocol.num_nodes();
+/// The single simulation loop behind [`Simulation::run`]: a driver over the
+/// slot layers below, in the order of the module docs' slot-loop list.
+fn run_core<P: Protocol>(mut sim: Simulation<'_, P>, seed: u64) -> (RunOutcome, EngineTelemetry) {
+    let n = sim.protocol.num_nodes();
     assert!(n >= 2, "broadcast needs at least a source and one receiver");
-
-    let mut tel = EngineTelemetry::default();
-    // Observer events are counted through a forwarding wrapper so the tally
-    // is identical with and without a mounted observer.
-    let mut observer = CountingObserver {
-        inner: observer,
-        events: 0,
-    };
     // Wall-clock is read only under `time_phases`, and only between phases
     // or around whole spans — never inside the per-slot hot section.
-    let t_setup = cfg.time_phases.then(Instant::now);
+    let t_setup = sim.config.time_phases.then(Instant::now);
 
-    // World schedule (nemesis layer). An empty slice behaves exactly like
-    // no schedule: every guard below degenerates to the unscheduled engine.
-    let sched: &[(u64, WorldEvent)] = schedule.map_or(&[], WorldSchedule::events);
-    let mut next_event_idx: usize = 0;
-    let swaps_observe = swap_eves.iter().any(Eve::observes);
-    let mut swap_queue = swap_eves.into_iter();
-    let mut timeline: Vec<ScheduleMarker> = Vec::new();
-    let mut partition: Option<Vec<u32>> = None;
-    // The link-loss overlay hashes (seed, round, edge) statelessly;
-    // derive_seed draws nothing, so unscheduled runs are unaffected.
-    let mut link_loss = LinkLoss::new(derive_seed(master_seed, LINK_LOSS_STREAM));
-
-    // Realized connectivity; construction draws only from the topology's
-    // own seeds, so the node/engine RNG streams below are untouched.
-    // Partition / link-loss events gate delivery per listener, so a
-    // single-hop run with such events gets a synthesized Complete view
-    // (byte-identical delivery — see tests/topology_equivalence.rs).
-    let needs_view = !sched.is_empty() && sched.iter().any(|(_, e)| e.affects_connectivity());
-    let complete = Topology::Complete;
-    let topo = topology
-        .or(if needs_view { Some(&complete) } else { None })
-        .map(|t| TopologyView::build(t, n));
+    let observes = sim.eve.observes() || sim.swap_eves.iter().any(Eve::observes);
+    let mut world = World::new(&mut sim, n, seed, observes);
+    let (protocol, cfg) = (sim.protocol, sim.config);
+    let mut jammer = Jammer {
+        remaining: sim.eve.budget(),
+        eve: sim.eve,
+        observes,
+        ..Jammer::default()
+    };
+    // Stream 0 is the engine's sampling stream; node i uses stream i + 1.
+    let mut pop = Population {
+        nodes: (0..n).map(|i| protocol.make_node(i, i == 0)).collect(),
+        rngs: (0..n)
+            .map(|i| Xoshiro256::seeded(derive_seed(seed, i as u64 + 1)))
+            .collect(),
+        active: (0..n).collect(),
+    };
     // "Everyone" means every node the source can reach at all. Compared
     // with >= rather than == defensively: a protocol's boundary inference
     // could in principle mark an unreachable node informed.
-    let informed_target: u32 = topo.as_ref().map_or(n, TopologyView::reachable_count);
-
-    // Stream 0 is the engine's sampling stream; node i uses stream i + 1.
-    let mut engine_rng = Xoshiro256::seeded(derive_seed(master_seed, 0));
-    let mut node_rngs: Vec<Xoshiro256> = (0..n)
-        .map(|i| Xoshiro256::seeded(derive_seed(master_seed, i as u64 + 1)))
-        .collect();
-
-    let mut nodes: Vec<P::Node> = (0..n).map(|i| protocol.make_node(i, i == 0)).collect();
-    let mut active: Vec<u32> = (0..n).collect();
-
-    let mut informed_at: Vec<Option<u64>> = vec![None; n as usize];
-    informed_at[0] = Some(0); // the source knows m from the start
-    let mut halted_at: Vec<Option<u64>> = vec![None; n as usize];
-    let mut halted_informed: Vec<bool> = vec![false; n as usize];
-    let mut listen_cost: Vec<u64> = vec![0; n as usize];
-    let mut bcast_cost: Vec<u64> = vec![0; n as usize];
-    let mut informed_count: u32 = 1;
-
-    // Crash bookkeeping (nemesis layer): crashed nodes keep their state but
-    // leave the actor pool and the live completion accounting.
-    let mut crashed: Vec<bool> = vec![false; n as usize];
-    let mut crashed_count: u32 = 0;
-    let mut crashed_reachable: u32 = 0;
-    let mut crashed_informed: u32 = 0;
-    // Slot from which the current crashed_count has been in effect, for the
-    // crashed-node-slot telemetry integral.
-    let mut crash_from: u64 = 0;
-
-    // Per-message tracking (multi-message protocols only). The k = 1 hot
-    // path skips all of it and synthesizes its single MessageOutcome from
-    // the run-level counters at the end.
-    let k_msgs = protocol.num_messages();
-    assert!(
-        (1..=64).contains(&k_msgs),
-        "num_messages must be in 1..=64, got {k_msgs}"
-    );
-    let multi = k_msgs > 1;
-    let msg_all: u64 = if k_msgs == 64 {
-        u64::MAX
-    } else {
-        (1u64 << k_msgs) - 1
-    };
-    let tracked = if multi { k_msgs as usize } else { 0 };
-    let mut msg_mask: Vec<u64> = Vec::new();
-    let mut msg_informed_count: Vec<u32> = vec![0; tracked];
-    let mut msg_informed_at: Vec<Option<u64>> = vec![None; tracked];
-    let mut msg_halted_knowing: Vec<u32> = vec![0; tracked];
-    if multi {
-        msg_mask = nodes
-            .iter()
-            .map(|nd| nd.informed_mask() & msg_all)
-            .collect();
-        for &mask in &msg_mask {
-            let mut bits = mask;
-            while bits != 0 {
-                msg_informed_count[bits.trailing_zeros() as usize] += 1;
-                bits &= bits - 1;
-            }
-        }
-        for j in 0..tracked {
-            if msg_informed_count[j] >= informed_target {
-                msg_informed_at[j] = Some(0);
-            }
-        }
-    }
-
-    let mut eve_remaining = eve.budget();
-    let mut eve_spent: u64 = 0;
-
-    let mut totals = SlotStats::default();
-    let mut board = ChannelBoard::new();
-
-    // Scratch buffers reused across slots.
-    let mut class1: Vec<u32> = Vec::new();
-    let mut class2: Vec<u32> = Vec::new();
-    // Buffered actions per sub-slot of the current round.
-    let mut round_buf: Vec<Vec<(u32, Action)>> = vec![Vec::new()];
-    // Listeners of the current physical slot: (node, physical channel).
-    let mut listeners: Vec<(u32, u64)> = Vec::new();
-    // Broadcasters of the current physical slot, kept with their node ids
-    // for the topology-aware delivery step (topology runs only).
-    let mut bcasters: Vec<(u32, u64, Payload)> = Vec::new();
-    // Band observations for adaptive adversaries (previous slot / scratch);
-    // maintained only when the adversary actually reads them.
-    let observes = eve.observes() || swaps_observe;
-    let mut prev_obs = BandObservation::default();
-    let mut next_obs = BandObservation::default();
-
-    let fast_forward = cfg.fast_forward && cfg.sampling == Sampling::Sparse;
-    // The channel board is read for listener outcomes on the single-hop
-    // path and for band observations when the adversary senses; on a
-    // topology run with an oblivious adversary nothing ever reads it.
-    let use_board = topo.is_none() || observes;
-
-    let mut slot: u64 = 0;
-    let mut prof = checked_profile(protocol.segment(0), n);
-    let mut seg_start: u64 = 0;
-    let mut seg_end: u64 = prof.seg_len; // profiles have seg_len >= 1
-    let sparse = cfg.sampling == Sampling::Sparse;
-    // The segment's actor-sampling stream (sparse mode only).
-    let mut stream =
-        sparse.then(|| TwoClassRoundStream::new(&mut engine_rng, active.len(), prof.p1, prof.p2));
-    // Heuristic fast-forward gate: per segment, engage the span machinery
-    // only when idle rounds are likely enough (and the run long enough) for
-    // the bookkeeping to pay for itself. Outcomes are byte-identical either
-    // way (the ff=true/ff=false equivalence the fast_forward tests pin);
-    // only telemetry's stepped/span split moves.
-    let mut ff_active = fast_forward && ff_worth_it(&prof, active.len(), cfg.max_slots);
-    if fast_forward && !ff_active {
-        tel.ff_gated_segments += 1;
-    }
-
+    let target = world.view.as_ref().map_or(n, TopologyView::reachable_count);
+    let mut noop = NoopObserver;
+    let observer = sim.observer.unwrap_or(&mut noop);
+    let mut ledger = Ledger::new(&pop.nodes, protocol.num_messages(), target, observer);
+    let mut scratch = SlotScratch::default();
+    let mut seg = Segment::open(protocol, 0, Xoshiro256::seeded(derive_seed(seed, 0)), cfg);
+    seg.restart_stream(n as usize, &mut ledger.tel);
     if let Some(t) = t_setup {
-        tel.phases.setup = t.elapsed().as_nanos() as u64;
+        ledger.tel.phases.setup = t.elapsed().as_nanos() as u64;
     }
     let t_loop = cfg.time_phases.then(Instant::now);
-    let mut ff_nanos: u64 = 0;
 
-    while slot < cfg.max_slots {
-        let round_len = prof.round_len as u64;
-        let sub = (slot - seg_start) % round_len;
-        let mut fast_forwarded = false;
-
-        // --- 0. Apply pending schedule events at round starts ----------------
+    while seg.slot < cfg.max_slots {
+        let sub = (seg.slot - seg.start) % seg.prof.round_len as u64;
         // An event scheduled at slot s takes effect at the first round start
-        // >= s; fast-forward spans are clipped below so that round start is
-        // always a span boundary.
-        if sub == 0 && next_event_idx < sched.len() && sched[next_event_idx].0 <= slot {
-            let mut active_changed = false;
-            while next_event_idx < sched.len() && sched[next_event_idx].0 <= slot {
-                let (scheduled_at, event) = &sched[next_event_idx];
-                next_event_idx += 1;
-                tel.schedule_events += 1;
-                tel.crashed_node_slots += u64::from(crashed_count) * (slot - crash_from);
-                crash_from = slot;
-                match event {
-                    WorldEvent::SwapEve => {
-                        // An exhausted swap queue makes this a recorded no-op.
-                        if let Some(next_eve) = swap_queue.next() {
-                            eve = next_eve;
-                            eve_remaining = eve.budget();
-                        }
-                    }
-                    WorldEvent::Partition { groups } => {
-                        partition = Some(realize_partition(groups, n));
-                    }
-                    WorldEvent::Heal => partition = None,
-                    WorldEvent::CrashNodes { nodes: list } => {
-                        for &nid in list {
-                            let i = nid as usize;
-                            if nid >= n || crashed[i] || halted_at[i].is_some() {
-                                continue;
-                            }
-                            crashed[i] = true;
-                            crashed_count += 1;
-                            if topo.as_ref().is_none_or(|v| v.is_reachable(nid)) {
-                                crashed_reachable += 1;
-                            }
-                            if informed_at[i].is_some() {
-                                crashed_informed += 1;
-                            }
-                            active_changed = true;
-                        }
-                    }
-                    WorldEvent::RecoverNodes { nodes: list } => {
-                        for &nid in list {
-                            let i = nid as usize;
-                            if nid >= n || !crashed[i] {
-                                continue;
-                            }
-                            crashed[i] = false;
-                            crashed_count -= 1;
-                            if topo.as_ref().is_none_or(|v| v.is_reachable(nid)) {
-                                crashed_reachable -= 1;
-                            }
-                            if informed_at[i].is_some() {
-                                crashed_informed -= 1;
-                            }
-                            active_changed = true;
-                        }
-                    }
-                    WorldEvent::SetLinkLoss { p } => link_loss.set_p(*p),
-                }
-                timeline.push(ScheduleMarker {
-                    scheduled_at: *scheduled_at,
-                    applied_at: slot,
-                    kind: event.kind(),
-                });
-            }
-            if active_changed {
-                active.clear();
-                active.extend(
-                    (0..n).filter(|&i| halted_at[i as usize].is_none() && !crashed[i as usize]),
-                );
-                if sparse {
-                    // The actor pool changed size mid-segment: restart the
-                    // sampling stream over the new pool. No stream at all
-                    // while every node is down (dead air).
-                    stream = (!active.is_empty()).then(|| {
-                        TwoClassRoundStream::new(&mut engine_rng, active.len(), prof.p1, prof.p2)
-                    });
-                    // Dead air is always worth skipping: with no stream the
-                    // fast-forward branch is the only way past crashed-out
-                    // stretches, so the gate never blocks it.
-                    ff_active = fast_forward
-                        && (active.is_empty()
-                            || ff_worth_it(&prof, active.len(), cfg.max_slots - slot));
-                    if fast_forward && !ff_active {
-                        tel.ff_gated_segments += 1;
-                    }
-                }
-            }
+        // >= s; fast-forward spans are clipped so that round start is always
+        // a span boundary.
+        let due = world.next_at().is_some_and(|at| at <= seg.slot);
+        if sub == 0 && due && world.apply_events(seg.slot, &mut jammer, &mut ledger) {
+            pop.active.clear();
+            pop.active.extend((0..n).filter(|&i| {
+                ledger.nodes[i as usize].halted_at.is_none() && !ledger.crashes.down[i as usize]
+            }));
+            seg.restart_stream(pop.active.len(), &mut ledger.tel);
         }
 
         // With everyone halted the run is over unless crashed nodes remain
         // that a pending RecoverNodes event could still re-admit. Events
         // past this point are never applied and leave no timeline marker.
-        if active.is_empty() && (crashed_count == 0 || next_event_idx >= sched.len()) {
+        let pending = world.next_at().is_some();
+        let crashed = ledger.crashes.count;
+        if pop.active.is_empty() && (crashed == 0 || !pending) {
             break;
         }
+        // While crashes are in play and no events remain, completion is
+        // survivor-relative: crashed nodes can neither learn nor be waited
+        // on. Pending events keep the strict criterion, since a later
+        // RecoverNodes may re-admit crashed nodes.
         if cfg.stop_when_all_informed {
-            // While crashes are in play and no events remain, completion is
-            // survivor-relative: crashed nodes can neither learn nor be
-            // waited on. Pending events keep the strict criterion, since a
-            // later RecoverNodes may re-admit crashed nodes.
-            let done = if crashed_count == 0 || next_event_idx < sched.len() {
-                informed_count >= informed_target
+            let (alive, informed) = if crashed == 0 || pending {
+                (ledger.target, ledger.informed_count)
             } else {
-                informed_count.saturating_sub(crashed_informed)
-                    >= informed_target.saturating_sub(crashed_reachable)
+                ledger.survivors()
             };
-            if done {
+            if informed >= alive {
                 break;
             }
         }
 
-        // --- 1. Actor sampling / idle fast-forward at round start -----------
-        if sub == 0 {
-            if ff_active {
-                let empty_rounds = match stream.as_mut() {
-                    Some(s) => s.empty_rounds_ahead(),
-                    // Dead air: every node is crashed, every round is empty.
-                    None => u64::MAX,
-                };
-                if empty_rounds > 0 {
-                    let t_span = cfg.time_phases.then(Instant::now);
-                    // The run of empty rounds ahead, clipped to the segment
-                    // (profiles change at boundaries) and to the slot cap.
-                    let rounds_left = (seg_end - slot) / round_len;
-                    let mut whole_rounds = empty_rounds.min(rounds_left);
-                    if next_event_idx < sched.len() {
-                        // Never skip past a pending event: clip the span so
-                        // the event's round start stays a span boundary.
-                        let gap = sched[next_event_idx].0.saturating_sub(slot).max(1);
-                        whole_rounds = whole_rounds.min(gap.div_ceil(round_len));
-                    }
-                    let mut span = whole_rounds * round_len;
-                    let avail = cfg.max_slots - slot;
-                    if span > avail {
-                        span = avail; // ends the run; a partial round is fine
-                        whole_rounds = span / round_len;
-                    }
-                    let spent = if eve_remaining > 0 {
-                        let charge =
-                            eve.jam_span(slot, span, prof.channels, eve_remaining, &prev_obs);
-                        debug_assert!(charge.spent <= eve_remaining, "jam_span overspent");
-                        // Clamp in release too: a buggy closed-form override
-                        // must bankrupt Eve, not underflow her into riches.
-                        let spent = charge.spent.min(eve_remaining);
-                        eve_remaining -= spent;
-                        eve_spent += spent;
-                        totals.jammed += spent;
-                        spent
-                    } else {
-                        0
-                    };
-                    // The span's slots are silent, so after it the previous
-                    // slot's observation is the empty band — exactly what the
-                    // per-slot path would have recorded for every span slot.
-                    if observes {
-                        prev_obs.clear();
-                        prev_obs.channels = prof.channels;
-                    }
-                    if let Some(s) = stream.as_mut() {
-                        s.skip_rounds(whole_rounds);
-                    }
-                    tel.record_span(span, spent);
-                    observer.on_idle_span(slot, span, spent);
-                    slot += span;
-                    fast_forwarded = true;
-                    if let Some(t) = t_span {
-                        ff_nanos += t.elapsed().as_nanos() as u64;
-                    }
-                }
+        let skipped = sub == 0
+            && seg.ff_active
+            && seg.fast_forward(&mut jammer, world.next_at(), &mut ledger);
+        if !skipped {
+            if sub == 0 {
+                scratch.sample(&mut seg, &mut pop, cfg.sampling);
+                scratch.decide(&mut pop, &seg.prof);
             }
-            // ==== TELEMETRY HOT SECTION: BEGIN =============================
-            // Per-slot execution path. No wall-clock reads allowed in this
-            // range (CI greps it for clock calls); timing stays at phase
-            // granularity so throughput is never spent on the clock.
-            if !fast_forwarded {
-                for buf in &mut round_buf {
-                    buf.clear();
-                }
-                if round_buf.len() < round_len as usize {
-                    round_buf.resize_with(round_len as usize, Vec::new);
-                }
-                class1.clear();
-                class2.clear();
-                match cfg.sampling {
-                    Sampling::Sparse => {
-                        // The stream is absent only while every node is
-                        // crashed; dead-air slots sample no actors.
-                        if let Some(s) = stream.as_mut() {
-                            s.next_round(&mut engine_rng, &mut class1, &mut class2);
-                        }
-                    }
-                    Sampling::DensePerNode => {
-                        for (idx, &nid) in active.iter().enumerate() {
-                            let u = node_rngs[nid as usize].next_f64();
-                            if u < prof.p1 {
-                                class1.push(idx as u32);
-                            } else if u < prof.p1 + prof.p2 {
-                                class2.push(idx as u32);
-                            }
-                        }
-                    }
-                }
-                for (list, coin) in [(&class1, Coin::One), (&class2, Coin::Two)] {
-                    for &idx in list.iter() {
-                        let nid = active[idx as usize];
-                        let action = nodes[nid as usize].on_selected(
-                            &prof,
-                            coin,
-                            &mut node_rngs[nid as usize],
-                        );
-                        match action {
-                            Action::Idle => {}
-                            Action::Listen { ch } | Action::Broadcast { ch, .. } => {
-                                debug_assert!(
-                                    ch < prof.virt_channels,
-                                    "node picked channel {ch} of {}",
-                                    prof.virt_channels
-                                );
-                                let (target, phys) = if round_len == 1 {
-                                    (0u64, ch)
-                                } else {
-                                    (ch / prof.channels, ch % prof.channels)
-                                };
-                                let mapped = match action {
-                                    Action::Listen { .. } => Action::Listen { ch: phys },
-                                    Action::Broadcast { payload, .. } => {
-                                        Action::Broadcast { ch: phys, payload }
-                                    }
-                                    Action::Idle => unreachable!(),
-                                };
-                                round_buf[target as usize].push((nid, mapped));
-                            }
-                        }
-                    }
-                }
-            }
+            let (jam, take) = jammer.jam(seg.slot, seg.prof.channels, &mut ledger.tel);
+            scratch.resolve(sub, take, &mut ledger, &world);
+            let round = seg.slot - sub;
+            scratch.deliver(&jam, round, &seg, &world, &mut pop.nodes, &mut ledger);
+            jammer.observe(&scratch.board, seg.prof.channels);
+            ledger.tel.slots_stepped += 1;
+            seg.slot += 1;
         }
 
-        if !fast_forwarded {
-            // --- 2. Jamming --------------------------------------------------
-            // `take` is both her spend and the size of the (possibly
-            // truncated) jam set, so it is never recounted.
-            let (jam, take) = if eve_remaining == 0 {
-                (JamSet::Empty, 0)
-            } else {
-                let request = eve.jam(slot, prof.channels, &prev_obs);
-                let want = request.count(prof.channels);
-                let take = want.min(eve_remaining);
-                eve_remaining -= take;
-                eve_spent += take;
-                tel.jam_spent_stepped += take;
-                let jam = if take < want {
-                    request.truncate(take, prof.channels)
-                } else {
-                    request
-                };
-                (jam.normalize(prof.channels), take)
-            };
-
-            // --- 3. Execute this sub-slot's buffered actions -----------------
-            board.clear();
-            listeners.clear();
-            bcasters.clear();
-            let mut slot_stats = SlotStats {
-                jammed: take,
-                ..SlotStats::default()
-            };
-            for &(nid, action) in &round_buf[sub as usize] {
-                match action {
-                    Action::Idle => {}
-                    Action::Listen { ch } => {
-                        listen_cost[nid as usize] += 1;
-                        slot_stats.listens += 1;
-                        listeners.push((nid, ch));
-                    }
-                    Action::Broadcast { ch, payload } => {
-                        bcast_cost[nid as usize] += 1;
-                        slot_stats.broadcasts += 1;
-                        if use_board {
-                            board.add_broadcast(ch, payload);
-                        }
-                        if topo.is_some() {
-                            bcasters.push((nid, ch, payload));
-                        }
-                    }
-                }
-            }
-            if use_board {
-                board.resolve();
-            }
-            // Dynamic topologies churn per round; key edges by the round's
-            // starting slot.
-            let round_key = slot - sub;
-            for &(nid, ch) in &listeners {
-                let jammed = jam.contains(ch, prof.channels);
-                let fb = match &topo {
-                    // Topology-aware delivery: only adjacent broadcasters
-                    // count. For `Topology::Complete` every broadcaster is
-                    // adjacent, which reproduces the board semantics below
-                    // exactly (same silence/message/noise per listener).
-                    Some(view) => {
-                        if jammed {
-                            Feedback::Noise
-                        } else {
-                            let mut heard = 0u32;
-                            let mut payload = Payload::Data;
-                            for &(bid, bch, pl) in &bcasters {
-                                if bch != ch || !view.connected(bid, nid, round_key) {
-                                    continue;
-                                }
-                                // Nemesis overlays gate delivery on top of
-                                // the base topology: cross-group edges are
-                                // cut while a partition is live, and lossy
-                                // links drop per (round, edge).
-                                if let Some(p) = &partition {
-                                    if p[bid as usize] != p[nid as usize] {
-                                        continue;
-                                    }
-                                }
-                                if link_loss.active()
-                                    && link_loss.is_lost(round_key, edge_id(n, bid, nid))
-                                {
-                                    continue;
-                                }
-                                heard += 1;
-                                payload = pl;
-                                if heard == 2 {
-                                    break;
-                                }
-                            }
-                            match heard {
-                                0 => Feedback::Silence,
-                                1 => Feedback::Message(payload),
-                                _ => Feedback::Noise,
-                            }
-                        }
-                    }
-                    None => board.outcome(ch, jammed),
-                };
-                match fb {
-                    Feedback::Silence => slot_stats.heard_silence += 1,
-                    Feedback::Message(_) => slot_stats.heard_message += 1,
-                    Feedback::Noise => slot_stats.heard_noise += 1,
-                }
-                let node = &mut nodes[nid as usize];
-                let was_informed = node.is_informed();
-                node.on_feedback(&prof, fb);
-                if !was_informed && node.is_informed() {
-                    informed_at[nid as usize] = Some(slot);
-                    informed_count += 1;
-                    observer.on_informed(nid, slot);
-                }
-                if multi {
-                    credit_mask_gains(
-                        nodes[nid as usize].informed_mask() & msg_all,
-                        nid,
-                        slot,
-                        informed_target,
-                        &mut msg_mask,
-                        &mut msg_informed_count,
-                        &mut msg_informed_at,
-                    );
-                }
-            }
-            totals.broadcasts += slot_stats.broadcasts;
-            totals.listens += slot_stats.listens;
-            totals.heard_silence += slot_stats.heard_silence;
-            totals.heard_message += slot_stats.heard_message;
-            totals.heard_noise += slot_stats.heard_noise;
-            totals.jammed += slot_stats.jammed;
-            observer.on_slot(slot, &slot_stats);
-
-            // Record the band activity for the adaptive adversary's next
-            // call — skipped entirely for strategies that never read it.
-            if observes {
-                next_obs.clear();
-                next_obs.channels = prof.channels;
-                board.busy_channels(&mut next_obs.busy);
-                std::mem::swap(&mut prev_obs, &mut next_obs);
-            }
-
-            tel.slots_stepped += 1;
-            slot += 1;
-        }
-
-        // --- 4. Segment boundary ---------------------------------------------
-        if slot == seg_end {
-            let mut any_halt = false;
-            for &nid in &active {
-                let node = &mut nodes[nid as usize];
-                let was_informed = node.is_informed();
-                let decision = node.on_boundary(&prof);
-                let now_informed = node.is_informed();
-                if !was_informed && now_informed {
-                    // Deferred status change (MultiCastAdv step-two check).
-                    informed_at[nid as usize] = Some(slot - 1);
-                    informed_count += 1;
-                    observer.on_informed(nid, slot - 1);
-                }
-                if multi {
-                    credit_mask_gains(
-                        nodes[nid as usize].informed_mask() & msg_all,
-                        nid,
-                        slot - 1,
-                        informed_target,
-                        &mut msg_mask,
-                        &mut msg_informed_count,
-                        &mut msg_informed_at,
-                    );
-                }
-                if decision == BoundaryDecision::Halt {
-                    halted_at[nid as usize] = Some(slot - 1);
-                    halted_informed[nid as usize] = now_informed;
-                    any_halt = true;
-                    observer.on_halted(nid, slot - 1);
-                    if multi {
-                        let mut bits = msg_mask[nid as usize];
-                        while bits != 0 {
-                            msg_halted_knowing[bits.trailing_zeros() as usize] += 1;
-                            bits &= bits - 1;
-                        }
-                    }
-                }
-            }
-            if any_halt {
-                active.retain(|&nid| halted_at[nid as usize].is_none());
-            }
-            observer.on_boundary(slot, &prof, active.len() as u32, informed_count);
+        if seg.slot == seg.end {
+            boundary(&mut pop, &seg, &mut ledger);
             // Pending schedule events keep the segment clock running even
             // when every node is down — a RecoverNodes may still re-admit.
-            if (!active.is_empty() || next_event_idx < sched.len()) && slot < cfg.max_slots {
-                prof = checked_profile(protocol.segment(slot), n);
-                seg_start = slot;
-                seg_end = slot.saturating_add(prof.seg_len);
-                if sparse {
-                    // Fresh stream per segment: probabilities and the active
-                    // set are constant within a segment, not across them.
-                    // No stream while every node is down (dead air).
-                    stream = (!active.is_empty()).then(|| {
-                        TwoClassRoundStream::new(&mut engine_rng, active.len(), prof.p1, prof.p2)
-                    });
-                    ff_active = fast_forward
-                        && (active.is_empty()
-                            || ff_worth_it(&prof, active.len(), cfg.max_slots - slot));
-                    if fast_forward && !ff_active {
-                        tel.ff_gated_segments += 1;
-                    }
-                }
+            if (!pop.active.is_empty() || world.next_at().is_some()) && seg.slot < cfg.max_slots {
+                seg = Segment::open(protocol, seg.slot, seg.rng, cfg);
+                seg.restart_stream(pop.active.len(), &mut ledger.tel);
             }
         }
-        // ==== TELEMETRY HOT SECTION: END ===================================
     }
 
-    // Flush the crashed-node-slot integral up to the final slot.
-    tel.crashed_node_slots += u64::from(crashed_count) * (slot - crash_from);
-
+    ledger.settle_crashes(seg.slot);
     if let Some(t) = t_loop {
-        let loop_nanos = t.elapsed().as_nanos() as u64;
-        tel.phases.fast_forward = ff_nanos;
-        tel.phases.slot_loop = loop_nanos.saturating_sub(ff_nanos);
+        let phases = &mut ledger.tel.phases;
+        phases.slot_loop = (t.elapsed().as_nanos() as u64).saturating_sub(phases.fast_forward);
     }
     let t_finalize = cfg.time_phases.then(Instant::now);
-    tel.rng_engine_draws = engine_rng.draws();
-    tel.rng_node_draws = node_rngs.iter().map(Xoshiro256::draws).sum();
-    tel.observer_events = observer.events;
-
-    let nodes_out: Vec<NodeOutcome> = (0..n as usize)
-        .map(|i| NodeOutcome {
-            id: i as u32,
-            informed_at: informed_at[i],
-            halted_at: halted_at[i],
-            listen_cost: listen_cost[i],
-            broadcast_cost: bcast_cost[i],
-            halted_informed: halted_informed[i],
-            extra: node_extra(&nodes[i]),
-        })
-        .collect();
-
-    let all_informed = informed_count >= informed_target;
-    let all_informed_at = if all_informed {
-        informed_at.iter().map(|x| x.unwrap_or(0)).max()
-    } else {
-        None
-    };
-    let messages: Vec<MessageOutcome> = if multi {
-        (0..tracked)
-            .map(|j| MessageOutcome {
-                msg: j as u32,
-                informed_count: msg_informed_count[j],
-                all_informed_at: msg_informed_at[j],
-                halted_knowing: msg_halted_knowing[j],
-            })
-            .collect()
-    } else {
-        // Single-message runs mirror the run-level counters.
-        vec![MessageOutcome {
-            msg: 0,
-            informed_count,
-            all_informed_at,
-            halted_knowing: halted_informed.iter().filter(|&&b| b).count() as u32,
-        }]
-    };
-    let survivors = informed_target.saturating_sub(crashed_reachable);
-    let survivors_informed = informed_count.saturating_sub(crashed_informed);
-    let outcome = RunOutcome {
-        slots: slot,
-        // A run with standing crashes has not "all halted" in the classical
-        // sense; the survivor-relative verdict lives in the fields below.
-        all_halted: active.is_empty() && crashed_count == 0,
-        all_informed,
-        all_informed_at,
-        reachable: informed_target,
-        eve_spent,
-        totals,
-        messages,
-        nodes: nodes_out,
-        timeline,
-        crashed: crashed_count,
-        survivors,
-        survivors_informed,
-        survivors_all_informed: survivors_informed >= survivors,
-        survivors_all_halted: active.is_empty(),
-    };
+    let (outcome, mut tel) = finish(seg, pop, ledger, world.timeline, jammer.spent);
     if let Some(t) = t_finalize {
         tel.phases.finalize = t.elapsed().as_nanos() as u64;
     }
     (outcome, tel)
 }
 
-fn node_extra<N: ProtocolNode>(node: &N) -> NodeExtra {
-    node.extra()
+/// The world the nodes live in: the realized topology, the nemesis overlays
+/// that gate delivery on top of it, and the cursor into the world schedule.
+struct World<'a> {
+    view: Option<TopologyView>,
+    /// The channel board is read for listener outcomes on the single-hop
+    /// path and for band observations when the adversary senses; on a
+    /// topology run with an oblivious adversary nothing ever reads it.
+    use_board: bool,
+    /// Group of each node while a partition is live.
+    partition: Option<Vec<u32>>,
+    link_loss: LinkLoss,
+    events: &'a [(u64, WorldEvent)],
+    next: usize,
+    /// Seats queued for [`WorldEvent::SwapEve`].
+    swaps: std::vec::IntoIter<Eve<'a>>,
+    timeline: Vec<ScheduleMarker>,
 }
 
-/// Fold a node's newly-learned message bits into the per-message counters
-/// (multi-message runs only).
-#[allow(clippy::too_many_arguments)]
-fn credit_mask_gains(
-    new_mask: u64,
-    nid: u32,
-    slot: u64,
-    informed_target: u32,
-    msg_mask: &mut [u64],
-    msg_informed_count: &mut [u32],
-    msg_informed_at: &mut [Option<u64>],
-) {
-    let mut gained = new_mask & !msg_mask[nid as usize];
-    if gained == 0 {
-        return;
-    }
-    msg_mask[nid as usize] |= gained;
-    while gained != 0 {
-        let j = gained.trailing_zeros() as usize;
-        msg_informed_count[j] += 1;
-        if msg_informed_count[j] >= informed_target && msg_informed_at[j].is_none() {
-            msg_informed_at[j] = Some(slot);
+impl<'a> World<'a> {
+    /// The world of `sim`'s topology and schedule; takes its queued swaps.
+    fn new<P: Protocol>(sim: &mut Simulation<'a, P>, n: u32, seed: u64, observes: bool) -> Self {
+        // An empty schedule behaves exactly like none: every guard
+        // degenerates to the unscheduled engine.
+        let events = sim.schedule.map_or(&[][..], WorldSchedule::events);
+        // Construction draws only from the topology's own seeds, so the
+        // node/engine RNG streams are untouched. Partition / link-loss events
+        // gate delivery per listener, so a single-hop run with such events
+        // gets a synthesized Complete view (byte-identical delivery — see
+        // tests/topology_equivalence.rs).
+        let needs_view = events.iter().any(|(_, e)| e.affects_connectivity());
+        let view = sim.topology.or(needs_view.then_some(&Topology::Complete));
+        World {
+            view: view.map(|t| TopologyView::build(t, n)),
+            use_board: view.is_none() || observes,
+            partition: None,
+            // The link-loss overlay hashes (seed, round, edge) statelessly;
+            // derive_seed draws nothing, so unscheduled runs are unaffected.
+            link_loss: LinkLoss::new(derive_seed(seed, LINK_LOSS_STREAM)),
+            events,
+            next: 0,
+            swaps: std::mem::take(&mut sim.swap_eves).into_iter(),
+            timeline: Vec::new(),
         }
-        gained &= gained - 1;
     }
+
+    /// Slot of the next event not yet applied.
+    fn next_at(&self) -> Option<u64> {
+        self.events.get(self.next).map(|&(at, _)| at)
+    }
+
+    /// Apply every event due by `slot`, a round start. Returns whether the
+    /// crashed set, and so the actor pool, changed.
+    fn apply_events(&mut self, slot: u64, jammer: &mut Jammer<'a>, ledger: &mut Ledger) -> bool {
+        let mut active_changed = false;
+        while let Some((at, event)) = self.events.get(self.next).filter(|e| e.0 <= slot) {
+            self.next += 1;
+            ledger.tel.schedule_events += 1;
+            ledger.settle_crashes(slot);
+            match event {
+                WorldEvent::SwapEve => {
+                    // An exhausted swap queue makes this a recorded no-op.
+                    if let Some(eve) = self.swaps.next() {
+                        jammer.remaining = eve.budget();
+                        jammer.eve = eve;
+                    }
+                }
+                WorldEvent::Partition { groups } => {
+                    self.partition = Some(realize_partition(groups, ledger.nodes.len() as u32));
+                }
+                WorldEvent::Heal => self.partition = None,
+                WorldEvent::CrashNodes { nodes } | WorldEvent::RecoverNodes { nodes } => {
+                    let down = matches!(event, WorldEvent::CrashNodes { .. });
+                    active_changed |= ledger.set_crashed(nodes, down, self.view.as_ref());
+                }
+                WorldEvent::SetLinkLoss { p } => self.link_loss.set_p(*p),
+            }
+            self.timeline.push(ScheduleMarker {
+                scheduled_at: *at,
+                applied_at: slot,
+                kind: event.kind(),
+            });
+        }
+        active_changed
+    }
+}
+
+/// The node population: protocol state, each node's private stream, and
+/// the actor pool of nodes neither halted nor crashed.
+struct Population<N> {
+    nodes: Vec<N>,
+    rngs: Vec<Xoshiro256>,
+    active: Vec<u32>,
+}
+
+/// The run's record: per-node outcomes, per-message knowledge, totals, crash
+/// accounting, telemetry and the observer stream. Bit `j` of a node's mask
+/// means it knows message `j`; a single-message run is the one-bit case.
+struct Ledger<'o> {
+    nodes: Vec<NodeOutcome>,
+    informed_count: u32,
+    /// Informed nodes needed for completion: the source's reachable set.
+    target: u32,
+    totals: SlotStats,
+    /// The run's `k` message bits, and the bits each node is credited with.
+    msg_all: u64,
+    msg_mask: Vec<u64>,
+    messages: Vec<MessageOutcome>,
+    crashes: Crashes,
+    tel: EngineTelemetry,
+    observer: &'o mut dyn Observer,
+}
+
+/// Crash bookkeeping (nemesis layer): crashed nodes keep their state but
+/// leave the actor pool and the live completion accounting.
+#[derive(Default)]
+struct Crashes {
+    down: Vec<bool>,
+    count: u32,
+    /// Crashed nodes the source can reach, and crashed informed nodes.
+    reachable: u32,
+    informed: u32,
+    /// Slot since which `count` holds, for the crashed-node-slot integral.
+    since: u64,
+}
+
+impl<'o> Ledger<'o> {
+    fn new<N: ProtocolNode>(nodes: &[N], k: u32, target: u32, obs: &'o mut dyn Observer) -> Self {
+        assert!((1..=64).contains(&k), "num_messages {k} outside 1..=64");
+        let n = nodes.len();
+        let mut ledger = Ledger {
+            nodes: (0..n as u32)
+                .map(|id| NodeOutcome {
+                    id,
+                    informed_at: None,
+                    halted_at: None,
+                    listen_cost: 0,
+                    broadcast_cost: 0,
+                    halted_informed: false,
+                    extra: NodeExtra::default(),
+                })
+                .collect(),
+            informed_count: 0,
+            target,
+            totals: SlotStats::default(),
+            msg_all: u64::MAX >> (64 - k),
+            msg_mask: vec![0; n],
+            messages: (0..k)
+                .map(|msg| MessageOutcome {
+                    msg,
+                    informed_count: 0,
+                    all_informed_at: None,
+                    halted_knowing: 0,
+                })
+                .collect(),
+            crashes: Crashes {
+                down: vec![false; n],
+                ..Crashes::default()
+            },
+            tel: EngineTelemetry::default(),
+            observer: obs,
+        };
+        // Seed from the nodes as constructed: what a node knows before slot
+        // 0 it knew at slot 0. Like the source, seeded nodes get no event.
+        for (nid, node) in nodes.iter().enumerate() {
+            if node.is_informed() {
+                ledger.nodes[nid].informed_at = Some(0);
+                ledger.informed_count += 1;
+            }
+            ledger.credit(node, nid as u32, true, 0);
+        }
+        ledger
+    }
+
+    /// Close the crashed-node-slot integral at `slot`.
+    fn settle_crashes(&mut self, slot: u64) {
+        let c = &mut self.crashes;
+        self.tel.crashed_node_slots += u64::from(c.count) * (slot - c.since);
+        c.since = slot;
+    }
+
+    /// Crash (`down`) or recover the listed nodes: only live, unhalted nodes
+    /// crash and only crashed nodes recover. Returns whether any changed.
+    fn set_crashed(&mut self, ids: &[u32], down: bool, view: Option<&TopologyView>) -> bool {
+        let step = |count: u32, hit: bool| match (hit, down) {
+            (false, _) => count,
+            (true, true) => count + 1,
+            (true, false) => count - 1,
+        };
+        let c = &mut self.crashes;
+        let mut changed = false;
+        for &nid in ids {
+            let i = nid as usize;
+            if c.down.get(i) != Some(&!down) || (down && self.nodes[i].halted_at.is_some()) {
+                continue;
+            }
+            c.down[i] = down;
+            c.count = step(c.count, true);
+            c.reachable = step(c.reachable, view.is_none_or(|v| v.is_reachable(nid)));
+            c.informed = step(c.informed, self.nodes[i].informed_at.is_some());
+            changed = true;
+        }
+        changed
+    }
+
+    /// Reachable nodes still up, and how many of those are informed.
+    fn survivors(&self) -> (u32, u32) {
+        let alive = self.target.saturating_sub(self.crashes.reachable);
+        (
+            alive,
+            self.informed_count.saturating_sub(self.crashes.informed),
+        )
+    }
+}
+
+/// Eve's seat: the mounted adversary, her budget, and the band observations
+/// an adaptive Eve reads (kept only when she reads them).
+#[derive(Default)]
+struct Jammer<'e> {
+    eve: Eve<'e>,
+    remaining: u64,
+    spent: u64,
+    observes: bool,
+    /// The previous slot's band observation, and scratch for the next.
+    prev: BandObservation,
+    next: BandObservation,
+}
+
+/// The segment clock: the current slot, the running segment's profile and
+/// bounds, and the engine's actor sampling over it.
+struct Segment {
+    slot: u64,
+    prof: SlotProfile,
+    start: u64,
+    end: u64,
+    /// Stream 0, the engine's sampling stream.
+    rng: Xoshiro256,
+    /// The segment's actor-sampling stream (sparse mode only; absent while
+    /// every node is crashed).
+    stream: Option<TwoClassRoundStream>,
+    /// Whether round starts look for idle spans to skip.
+    ff_active: bool,
+    cfg: EngineConfig,
+}
+
+impl Segment {
+    /// The segment starting at `slot`, with its validated profile.
+    fn open<P: Protocol>(protocol: &mut P, slot: u64, rng: Xoshiro256, cfg: EngineConfig) -> Self {
+        let prof = checked_profile(protocol.segment(slot));
+        Segment {
+            slot,
+            prof,
+            start: slot,
+            end: slot.saturating_add(prof.seg_len),
+            rng,
+            stream: None,
+            ff_active: false,
+            cfg,
+        }
+    }
+
+    /// Restart the actor-sampling stream over `actors` nodes: at each
+    /// segment start (probabilities and the pool are constant within a
+    /// segment, not across them) and when the pool changes mid-segment.
+    fn restart_stream(&mut self, actors: usize, tel: &mut EngineTelemetry) {
+        let cfg = &self.cfg;
+        if cfg.sampling != Sampling::Sparse {
+            return;
+        }
+        let (p1, p2) = (self.prof.p1, self.prof.p2);
+        self.stream = (actors > 0).then(|| TwoClassRoundStream::new(&mut self.rng, actors, p1, p2));
+        // Heuristic fast-forward gate: engage the span machinery only when
+        // idle rounds are likely enough (and the run long enough) for the
+        // bookkeeping to pay for itself. Outcomes are byte-identical either
+        // way (the ff=true/ff=false equivalence the fast_forward tests pin);
+        // only telemetry's stepped/span split moves. Dead air (no stream) is
+        // always worth skipping: fast-forward is the only way past it.
+        self.ff_active = cfg.fast_forward
+            && (actors == 0 || ff_worth_it(&self.prof, actors, cfg.max_slots - self.slot));
+        if cfg.fast_forward && !self.ff_active {
+            tel.ff_gated_segments += 1;
+        }
+    }
+
+    /// Idle fast-forward at a round start: when the sampling stream shows empty
+    /// rounds ahead, jump over all of them — clipped to the segment, to the
+    /// round start of the next event (due `at`) and to the slot cap — and
+    /// charge Eve exactly through her span-batched budget API. Returns
+    /// whether it skipped.
+    #[inline(always)]
+    fn fast_forward(&mut self, jammer: &mut Jammer, at: Option<u64>, ledger: &mut Ledger) -> bool {
+        let empty_rounds = match &self.stream {
+            Some(s) => s.empty_rounds_ahead(),
+            None => u64::MAX, // dead air: every node is crashed
+        };
+        if empty_rounds == 0 {
+            return false;
+        }
+        let t_span = self.cfg.time_phases.then(Instant::now);
+        let round_len = self.prof.round_len as u64;
+        let mut whole_rounds = empty_rounds.min((self.end - self.slot) / round_len);
+        if let Some(at) = at {
+            // Never skip past a pending event's round start.
+            let gap = at.saturating_sub(self.slot).max(1);
+            whole_rounds = whole_rounds.min(gap.div_ceil(round_len));
+        }
+        let mut span = whole_rounds * round_len;
+        let avail = self.cfg.max_slots - self.slot;
+        if span > avail {
+            span = avail; // ends the run; a partial round is fine
+            whole_rounds = span / round_len;
+        }
+        let (slot, channels) = (self.slot, self.prof.channels);
+        let mut spent = 0;
+        if jammer.remaining > 0 {
+            let (eve, prev) = (&mut jammer.eve, &jammer.prev);
+            let charge = eve.jam_span(slot, span, channels, jammer.remaining, prev);
+            debug_assert!(charge.spent <= jammer.remaining, "jam_span overspent");
+            // Clamp in release too: a buggy closed-form override must bankrupt
+            // Eve, not underflow her into riches.
+            spent = charge.spent.min(jammer.remaining);
+            jammer.remaining -= spent;
+            jammer.spent += spent;
+            ledger.totals.jammed += spent;
+        }
+        // The span's slots are silent, so after it the previous slot's
+        // observation is the empty band — exactly what the per-slot path would
+        // have recorded for every span slot.
+        if jammer.observes {
+            jammer.prev.clear();
+            jammer.prev.channels = channels;
+        }
+        if let Some(s) = self.stream.as_mut() {
+            s.skip_rounds(whole_rounds);
+        }
+        ledger.tel.record_span(span, spent);
+        ledger.emit().on_idle_span(slot, span, spent);
+        self.slot += span;
+        if let Some(t) = t_span {
+            ledger.tel.phases.fast_forward += t.elapsed().as_nanos() as u64;
+        }
+        true
+    }
+}
+
+/// Scratch state of the round and slot being executed, reused across slots.
+#[derive(Default)]
+struct SlotScratch {
+    /// The round's sampled actors by coin class, as indices into the pool.
+    class1: Vec<u32>,
+    class2: Vec<u32>,
+    /// Buffered actions per sub-slot of the current round.
+    round: Vec<Vec<(u32, Action)>>,
+    /// The slot's listeners (node, physical channel), and its broadcasters
+    /// for topology-aware delivery (topology runs only).
+    listeners: Vec<(u32, u64)>,
+    bcasters: Vec<(u32, u64, Payload)>,
+    board: ChannelBoard,
+    stats: SlotStats,
+}
+
+// ==== TELEMETRY HOT SECTION: BEGIN =========================================
+// Per-slot execution path. No wall-clock reads allowed in this range (CI
+// greps it for clock calls); timing stays at phase granularity so
+// throughput is never spent on the clock. The per-slot layers (and
+// `Segment::fast_forward`, tried at every round start) are
+// `inline(always)`: left to its heuristic, LLVM calls them out of line
+// from the larger `run_core` instances.
+
+impl SlotScratch {
+    /// Actor sampling at a round start: each node of the pool lands in coin
+    /// class 1 w.p. `p1` and class 2 w.p. `p2`, independently.
+    #[inline(always)]
+    fn sample<N>(&mut self, seg: &mut Segment, pop: &mut Population<N>, sampling: Sampling) {
+        let round_len = seg.prof.round_len as usize;
+        self.round.iter_mut().for_each(Vec::clear);
+        if self.round.len() < round_len {
+            self.round.resize_with(round_len, Vec::new);
+        }
+        self.class1.clear();
+        self.class2.clear();
+        match sampling {
+            Sampling::Sparse => {
+                if let Some(s) = seg.stream.as_mut() {
+                    s.next_round(&mut seg.rng, &mut self.class1, &mut self.class2);
+                }
+            }
+            Sampling::DensePerNode => {
+                for (idx, &nid) in pop.active.iter().enumerate() {
+                    let u = pop.rngs[nid as usize].next_f64();
+                    if u < seg.prof.p1 {
+                        self.class1.push(idx as u32);
+                    } else if u < seg.prof.p1 + seg.prof.p2 {
+                        self.class2.push(idx as u32);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Decisions: each sampled actor picks an action on a virtual channel,
+    /// which maps to a (sub-slot, physical channel) pair of the round.
+    #[inline(always)]
+    fn decide<N: ProtocolNode>(&mut self, pop: &mut Population<N>, prof: &SlotProfile) {
+        for (list, coin) in [(&self.class1, Coin::One), (&self.class2, Coin::Two)] {
+            for &idx in list {
+                let nid = pop.active[idx as usize];
+                let i = nid as usize;
+                let action = pop.nodes[i].on_selected(prof, coin, &mut pop.rngs[i]);
+                let ch = match action {
+                    Action::Idle => continue,
+                    Action::Listen { ch } | Action::Broadcast { ch, .. } => ch,
+                };
+                debug_assert!(ch < prof.virt_channels, "virtual channel {ch} out of range");
+                let (sub, phys) = if prof.round_len == 1 {
+                    (0, ch)
+                } else {
+                    (ch / prof.channels, ch % prof.channels)
+                };
+                let mapped = match action {
+                    Action::Broadcast { payload, .. } => Action::Broadcast { ch: phys, payload },
+                    _ => Action::Listen { ch: phys },
+                };
+                self.round[sub as usize].push((nid, mapped));
+            }
+        }
+    }
+
+    /// Resolution of sub-slot `sub`: charge one energy unit to every
+    /// listener and broadcaster and resolve each channel of the board to
+    /// silence, message or noise. `take` is Eve's spend this slot.
+    #[inline(always)]
+    fn resolve(&mut self, sub: u64, take: u64, ledger: &mut Ledger, world: &World) {
+        self.board.clear();
+        self.listeners.clear();
+        self.bcasters.clear();
+        let mut stats = SlotStats {
+            jammed: take,
+            ..SlotStats::default()
+        };
+        for &(nid, action) in &self.round[sub as usize] {
+            match action {
+                Action::Idle => {}
+                Action::Listen { ch } => {
+                    ledger.nodes[nid as usize].listen_cost += 1;
+                    stats.listens += 1;
+                    self.listeners.push((nid, ch));
+                }
+                Action::Broadcast { ch, payload } => {
+                    ledger.nodes[nid as usize].broadcast_cost += 1;
+                    stats.broadcasts += 1;
+                    if world.use_board {
+                        self.board.add_broadcast(ch, payload);
+                    }
+                    if world.view.is_some() {
+                        self.bcasters.push((nid, ch, payload));
+                    }
+                }
+            }
+        }
+        if world.use_board {
+            self.board.resolve();
+        }
+        self.stats = stats;
+    }
+
+    /// Delivery: each listener gets its feedback and the ledger credits
+    /// what it learned; the slot's stats join the run totals. Dynamic
+    /// topologies churn per round, so edges are keyed by `round`, the
+    /// round's starting slot.
+    #[inline(always)]
+    fn deliver<N: ProtocolNode>(
+        &mut self,
+        jam: &JamSet,
+        round: u64,
+        seg: &Segment,
+        world: &World,
+        nodes: &mut [N],
+        ledger: &mut Ledger,
+    ) {
+        let (slot, prof) = (seg.slot, &seg.prof);
+        let mut stats = self.stats;
+        let (part, loss) = (world.partition.as_deref(), &world.link_loss);
+        for &(nid, ch) in &self.listeners {
+            let jammed = jam.contains(ch, prof.channels);
+            let fb = match &world.view {
+                None => self.board.outcome(ch, jammed),
+                Some(_) if jammed => Feedback::Noise,
+                // Topology-aware delivery: only adjacent broadcasters count,
+                // gated by the nemesis overlays — cross-group edges are cut
+                // while a partition is live, and lossy links drop per
+                // (round, edge). For `Topology::Complete` every broadcaster
+                // is adjacent, which reproduces the board semantics exactly.
+                Some(view) => {
+                    let n = view.num_nodes();
+                    let mut heard = self.bcasters.iter().filter(|&&(bid, bch, _)| {
+                        bch == ch
+                            && view.connected(bid, nid, round)
+                            && part.is_none_or(|p| p[bid as usize] == p[nid as usize])
+                            && !(loss.active() && loss.is_lost(round, edge_id(n, bid, nid)))
+                    });
+                    match (heard.next(), heard.next()) {
+                        (None, _) => Feedback::Silence,
+                        (Some(&(_, _, payload)), None) => Feedback::Message(payload),
+                        _ => Feedback::Noise,
+                    }
+                }
+            };
+            match fb {
+                Feedback::Silence => stats.heard_silence += 1,
+                Feedback::Message(_) => stats.heard_message += 1,
+                Feedback::Noise => stats.heard_noise += 1,
+            }
+            let node = &mut nodes[nid as usize];
+            let was_informed = node.is_informed();
+            node.on_feedback(prof, fb);
+            ledger.credit(node, nid, was_informed, slot);
+        }
+        let totals = &mut ledger.totals;
+        totals.broadcasts += stats.broadcasts;
+        totals.listens += stats.listens;
+        totals.heard_silence += stats.heard_silence;
+        totals.heard_message += stats.heard_message;
+        totals.heard_noise += stats.heard_noise;
+        totals.jammed += stats.jammed;
+        ledger.emit().on_slot(slot, &stats);
+    }
+}
+
+impl Jammer<'_> {
+    /// Jamming: ask Eve for the slot's jam set, charge her budget, and
+    /// truncate the request to what she can afford. Returns the set and her
+    /// spend, which is also its size.
+    #[inline(always)]
+    fn jam(&mut self, slot: u64, channels: u64, tel: &mut EngineTelemetry) -> (JamSet, u64) {
+        if self.remaining == 0 {
+            return (JamSet::Empty, 0);
+        }
+        let request = self.eve.jam(slot, channels, &self.prev);
+        let want = request.count(channels);
+        let take = want.min(self.remaining);
+        self.remaining -= take;
+        self.spent += take;
+        tel.jam_spent_stepped += take;
+        let jam = if take < want {
+            request.truncate(take, channels)
+        } else {
+            request
+        };
+        (jam.normalize(channels), take)
+    }
+
+    /// Record the slot's band activity for an adaptive Eve's next call.
+    #[inline(always)]
+    fn observe(&mut self, board: &ChannelBoard, channels: u64) {
+        if self.observes {
+            self.next.clear();
+            self.next.channels = channels;
+            board.busy_channels(&mut self.next.busy);
+            std::mem::swap(&mut self.prev, &mut self.next);
+        }
+    }
+}
+
+impl Ledger<'_> {
+    /// The observer, with the event about to be sent counted for
+    /// [`EngineTelemetry::observer_events`] whether or not one is mounted.
+    #[inline(always)]
+    fn emit(&mut self) -> &mut dyn Observer {
+        self.tel.observer_events += 1;
+        &mut *self.observer
+    }
+
+    /// Credit what `node` learned in a step ending at slot `at`: the slot
+    /// it became informed, unless `was_informed`, and each new message bit.
+    #[inline(always)]
+    fn credit<N: ProtocolNode>(&mut self, node: &N, nid: u32, was_informed: bool, at: u64) {
+        let i = nid as usize;
+        if !was_informed && node.is_informed() {
+            self.nodes[i].informed_at = Some(at);
+            self.informed_count += 1;
+            self.emit().on_informed(nid, at);
+        }
+        let mut gained = node.informed_mask() & self.msg_all & !self.msg_mask[i];
+        self.msg_mask[i] |= gained;
+        while gained != 0 {
+            let m = &mut self.messages[gained.trailing_zeros() as usize];
+            m.informed_count += 1;
+            if m.informed_count >= self.target && m.all_informed_at.is_none() {
+                m.all_informed_at = Some(at);
+            }
+            gained &= gained - 1;
+        }
+    }
+}
+
+/// Segment boundary: every active node runs its end-of-segment checks and
+/// may halt; status changes date to the segment's last slot.
+#[inline]
+fn boundary<N: ProtocolNode>(pop: &mut Population<N>, seg: &Segment, ledger: &mut Ledger) {
+    let at = seg.slot - 1;
+    for &nid in &pop.active {
+        let node = &mut pop.nodes[nid as usize];
+        let was_informed = node.is_informed();
+        let decision = node.on_boundary(&seg.prof);
+        // A deferred status change (the MultiCastAdv step-two check).
+        ledger.credit(node, nid, was_informed, at);
+        if decision == BoundaryDecision::Halt {
+            let i = nid as usize;
+            ledger.nodes[i].halted_at = Some(at);
+            ledger.nodes[i].halted_informed = node.is_informed();
+            let mut bits = ledger.msg_mask[i];
+            while bits != 0 {
+                ledger.messages[bits.trailing_zeros() as usize].halted_knowing += 1;
+                bits &= bits - 1;
+            }
+            ledger.emit().on_halted(nid, at);
+        }
+    }
+    pop.active
+        .retain(|&nid| ledger.nodes[nid as usize].halted_at.is_none());
+    let (active, informed) = (pop.active.len() as u32, ledger.informed_count);
+    ledger
+        .emit()
+        .on_boundary(seg.slot, &seg.prof, active, informed);
+}
+
+// ==== TELEMETRY HOT SECTION: END ===========================================
+
+/// Build the run's outcome and telemetry from the final state of the layers.
+fn finish<N: ProtocolNode>(
+    seg: Segment,
+    pop: Population<N>,
+    mut ledger: Ledger,
+    timeline: Vec<ScheduleMarker>,
+    eve_spent: u64,
+) -> (RunOutcome, EngineTelemetry) {
+    ledger.tel.rng_engine_draws = seg.rng.draws();
+    ledger.tel.rng_node_draws = pop.rngs.iter().map(Xoshiro256::draws).sum();
+    for (out, node) in ledger.nodes.iter_mut().zip(&pop.nodes) {
+        out.extra = node.extra();
+    }
+    let all_informed = ledger.informed_count >= ledger.target;
+    let last_informed = ledger.nodes.iter().filter_map(|o| o.informed_at).max();
+    let (survivors, survivors_informed) = ledger.survivors();
+    let outcome = RunOutcome {
+        slots: seg.slot,
+        // A run with standing crashes has not "all halted" in the classical
+        // sense; the survivor-relative verdict lives in the fields below.
+        all_halted: pop.active.is_empty() && ledger.crashes.count == 0,
+        all_informed,
+        all_informed_at: last_informed.filter(|_| all_informed),
+        reachable: ledger.target,
+        eve_spent,
+        totals: ledger.totals,
+        messages: ledger.messages,
+        nodes: ledger.nodes,
+        timeline,
+        crashed: ledger.crashes.count,
+        survivors,
+        survivors_informed,
+        survivors_all_informed: survivors_informed >= survivors,
+        survivors_all_halted: pop.active.is_empty(),
+    };
+    (outcome, ledger.tel)
 }
 
 /// Minimum run length (in slots) for the fast-forward machinery to be worth
@@ -1284,7 +1280,7 @@ fn ff_worth_it(prof: &SlotProfile, actors: usize, slots_left: u64) -> bool {
 }
 
 /// Validate the protocol's segment contract once per segment.
-fn checked_profile(prof: SlotProfile, _n: u32) -> SlotProfile {
+fn checked_profile(prof: SlotProfile) -> SlotProfile {
     assert!(prof.seg_len >= 1, "segment must contain at least one slot");
     assert!(prof.round_len >= 1, "round_len must be at least 1");
     assert!(

@@ -66,7 +66,7 @@ pub struct SlotStats {
 
 /// Per-message result of a run — the multi-message broadcast tracking of
 /// [`crate::Protocol::num_messages`]. Single-message runs carry exactly one
-/// entry mirroring the run-level fields, synthesized off the hot path.
+/// entry, tracked like any other.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MessageOutcome {
     /// Message id `j` (bit `j` of a node's informed mask).

@@ -157,10 +157,9 @@ pub trait ProtocolNode {
 
     /// Bitmask of the messages this node currently knows (bit `j` set =
     /// message `j` known). The engine reads it for the per-message tracking
-    /// of multi-message runs ([`crate::RunOutcome::messages`]). The default
-    /// — bit 0 mirrors [`is_informed`](ProtocolNode::is_informed) — is
-    /// always right for single-message protocols, and the engine never
-    /// calls it on the `k = 1` hot path.
+    /// of every run ([`crate::RunOutcome::messages`]). The default — bit 0
+    /// mirrors [`is_informed`](ProtocolNode::is_informed) — is always
+    /// right for single-message protocols.
     fn informed_mask(&self) -> u64 {
         self.is_informed() as u64
     }

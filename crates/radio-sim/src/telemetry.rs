@@ -1,11 +1,12 @@
 //! Engine telemetry: plain counters and optional per-phase wall-clock.
 //!
-//! Every run of [`run_core`](crate::engine) fills an [`EngineTelemetry`]
-//! alongside its [`RunOutcome`](crate::RunOutcome). The counters answer the
-//! "where do slots go" questions the performance trajectory needs — how many
-//! slots were actually executed vs. fast-forwarded, how fragmented the idle
-//! spans were, how much randomness each stream class consumed, and how Eve's
-//! budget split between per-slot charges and span-batched charges.
+//! Every run of the engine's slot loop (see [`crate::engine`]) fills an
+//! [`EngineTelemetry`] alongside its [`RunOutcome`](crate::RunOutcome). The
+//! counters answer the "where do slots go" questions the performance
+//! trajectory needs — how many slots were actually executed vs.
+//! fast-forwarded, how fragmented the idle spans were, how much randomness
+//! each stream class consumed, and how Eve's budget split between per-slot
+//! charges and span-batched charges.
 //!
 //! Two invariants tie the counters to the outcome (enforced by the
 //! `telemetry` integration test matrix):

@@ -2,8 +2,8 @@
 //! clear panic, not corrupt a simulation.
 
 use rcb_sim::{
-    Action, BoundaryDecision, Coin, EngineConfig, Feedback, Protocol, ProtocolNode, Simulation,
-    SlotProfile, Xoshiro256,
+    Action, BoundaryDecision, Coin, EngineConfig, Feedback, Protocol, ProtocolNode, RunOutcome,
+    Simulation, SlotProfile, Xoshiro256,
 };
 
 /// A protocol whose profile is whatever the test says.
@@ -53,16 +53,20 @@ fn base_profile() -> SlotProfile {
     }
 }
 
-fn run_fixed(profile: SlotProfile) {
+fn run_fixed(profile: SlotProfile) -> RunOutcome {
     let mut proto = Fixed { profile };
     Simulation::new(&mut proto)
         .config(EngineConfig::capped(100))
-        .run(1);
+        .run(1)
 }
 
+/// Every `Dummy` node starts informed, and the engine's ledger is seeded
+/// from each node's own state, not from the source alone.
 #[test]
 fn well_formed_profile_runs() {
-    run_fixed(base_profile());
+    let out = run_fixed(base_profile());
+    assert!(out.all_informed);
+    assert_eq!(out.messages[0].informed_count, 4);
 }
 
 #[test]

@@ -14,14 +14,18 @@
 //!    `RunOutcome` field matches the unscheduled run even though the
 //!    schedule forces span clipping and the per-listener delivery path.
 //!
+//! Gate 2 also pins `RunOutcome::messages` of these single-message runs
+//! (crashes included) to the record recomputed from their per-node
+//! outcomes, which the golden hashes elsewhere do not cover.
+//!
 //! Runs as a CI gate in the bench-smoke job alongside `fast_forward.rs`
 //! and `simulation_api_equivalence.rs`.
 
 use rcb::adversary::{ReactiveJammer, UniformFraction};
 use rcb::core::{McParams, MultiCast, MultiCastAdv, MultiCastC, MultiCastCore, MultiHopCast};
 use rcb::sim::{
-    derive_seed, EngineConfig, EngineTelemetry, Eve, Observer, Protocol, RunOutcome, Simulation,
-    SlotProfile, SlotStats, Topology, WorldEvent, WorldSchedule,
+    derive_seed, EngineConfig, EngineTelemetry, Eve, MessageOutcome, Observer, Protocol,
+    RunOutcome, Simulation, SlotProfile, SlotStats, Topology, WorldEvent, WorldSchedule,
 };
 
 const PROTOCOLS: [&str; 5] = ["core", "multicast", "multicast-c", "adv", "multihop"];
@@ -221,6 +225,20 @@ fn nemesis_schedule() -> WorldSchedule {
         .at(2_048, WorldEvent::SetLinkLoss { p: 0.0 })
 }
 
+/// The one-message record a `k = 1` run must report, recomputed from its
+/// per-node outcomes: who knows the message, when the last reachable node
+/// learned it, and who halted knowing it.
+fn single_message_record(out: &RunOutcome) -> MessageOutcome {
+    let informed = out.nodes.iter().filter(|n| n.informed_at.is_some()).count() as u32;
+    let last = out.nodes.iter().filter_map(|n| n.informed_at).max();
+    MessageOutcome {
+        msg: 0,
+        informed_count: informed,
+        all_informed_at: last.filter(|_| informed >= out.reachable),
+        halted_knowing: out.nodes.iter().filter(|n| n.halted_informed).count() as u32,
+    }
+}
+
 /// Gate 2: every applied event lands at or after its scheduled slot and
 /// never strictly inside a fast-forwarded idle span — the engine clips
 /// spans at pending events, so event application is always a span
@@ -237,6 +255,11 @@ fn every_applied_event_lands_on_a_span_boundary() {
                     "{proto} / {eve} / seed {seed}: no event applied before the run ended"
                 );
                 assert!(out.timeline.len() <= sched.len());
+                assert_eq!(
+                    out.messages,
+                    [single_message_record(&out)],
+                    "{proto} / {eve} / seed {seed}: k = 1 message record"
+                );
                 for marker in &out.timeline {
                     assert!(
                         marker.applied_at >= marker.scheduled_at,
